@@ -3,9 +3,11 @@
 ``PipelineEngine.run`` (vectorised) and ``PipelineEngine.run_scalar`` (the
 retained reference) are required to produce bitwise-identical results —
 ``tests/test_engine_equivalence.py`` enforces it at runtime, but only for
-the configurations it happens to sweep.  This checker enforces the
-*structural* half statically, for any class defining both ``run`` and
-``run_scalar``:
+the configurations it happens to sweep.  Both entry points drive one shared
+epoch loop and differ only in their per-epoch advance strategy, so this
+checker enforces the *structural* half statically on the two strategies,
+for any class defining both ``_advance_epoch_fast`` and
+``_advance_epoch_scalar``:
 
 ``PAR001``
     A ``self.<attr>`` store present in one path but not the other: state
@@ -19,9 +21,10 @@ the configurations it happens to sweep.  This checker enforces the
 
 Receivers that only appear in one of the two methods are ignored (each path
 may use private temporaries), as are imported modules (``np.*`` is
-vectorised-only by design).  Known-equivalent call pairs — the scalar
-``advance_tokens`` versus the vectorised ``apply_advance`` — are declared
-in :data:`EQUIVALENT_CALLS` and normalised before comparison.
+vectorised-only by design) and the read-only queries of
+:data:`QUERY_CALLS`.  Known-equivalent call pairs — the per-sequence
+``grow_sequence`` versus the batched ``grow_batch`` — are declared in
+:data:`EQUIVALENT_CALLS` and normalised before comparison.
 """
 
 from __future__ import annotations
@@ -30,14 +33,26 @@ import ast
 
 from .core import Finding, ParsedModule, Project, dotted_name, iter_class_defs
 
-FAST_NAME = "run"
-SCALAR_NAME = "run_scalar"
+FAST_NAME = "_advance_epoch_fast"
+SCALAR_NAME = "_advance_epoch_scalar"
 
-#: method names proven equivalent by the runtime equivalence suite; each
-#: group is normalised to one token before the two paths are compared.
+#: method names proven equivalent at runtime; each group is normalised to
+#: one token before the two paths are compared.
 EQUIVALENT_CALLS: tuple[frozenset[str], ...] = (
-    frozenset({"apply_advance", "advance_tokens"}),
+    # Batched KV growth equals the ordered per-sequence walk whenever it
+    # accepts: tests/test_properties.py (grow_batch against the sequential
+    # append_tokens walk) and tests/test_engine_equivalence.py (engine and
+    # KV-manager state, fast against scalar).
+    frozenset({"grow_batch", "grow_sequence"}),
+    # The scheduler's active rows: advanced in place by the batch, re-derived
+    # from the advanced sequences by the scalar walk (same equivalence tests).
+    frozenset({"advance", "resync"}),
 )
+
+#: read-only queries: skipping one cannot make the paths' state diverge
+#: (the scalar walk re-checks membership after the evictions its growth may
+#: cause; a batch growth never evicts)
+QUERY_CALLS = frozenset({"is_active"})
 
 
 def _normalise(method: str) -> str:
@@ -91,6 +106,8 @@ def _receiver_calls(func: ast.FunctionDef,
         if root in modules:
             continue
         parts = rest.split(".")
+        if parts[-1] in QUERY_CALLS:
+            continue
         method = ".".join(parts[:-1] + [_normalise(parts[-1])])
         calls.setdefault(root, set()).add(method)
     return calls

@@ -3,7 +3,7 @@
 from .bitmap import OccupancyBitmap
 from .blocks import BlockAddress, FreeBlockTable, tokens_per_block
 from .manager import DistributedKVCacheManager, KVCacheStats
-from .pagetable import HeadPlacement, PageTable
+from .pagetable import HeadPlacement, PageTable, PageTableStore
 from .static import StaticKVCacheManager, StaticKVCacheStats
 
 __all__ = [
@@ -15,6 +15,7 @@ __all__ = [
     "KVCacheStats",
     "HeadPlacement",
     "PageTable",
+    "PageTableStore",
     "StaticKVCacheManager",
     "StaticKVCacheStats",
 ]

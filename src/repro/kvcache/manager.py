@@ -14,9 +14,16 @@ logical blocks; each crossbar's free-block table tracks valid rows.  For
 simulation speed the manager keeps the block occupancy in vectorised per-core
 counters plus O(1) running totals (free/healthy block counts are maintained
 incrementally, never recomputed by scanning the core arrays), and the ring
-selection of admission cores is a handful of vectorised index operations; the
-page tables are materialised exactly (they are cheap and the fault-tolerance
-path needs them).
+selection of admission cores is a handful of vectorised index operations.
+The page tables are materialised exactly, as one core matrix per sequence
+(:class:`~repro.kvcache.pagetable.PageTableStore`): nothing on the serving
+path reads them back, but they are the placement record that inspection,
+tests and checkpoints see.
+
+Growth has two forms.  :meth:`DistributedKVCacheManager.append_tokens` grows
+one sequence; :meth:`DistributedKVCacheManager.grow_batch` grows a whole
+epoch's active set in a few array operations, but only when it can prove
+that the equivalent ordered walk of ``append_tokens`` calls could not fail.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from ..errors import ConfigurationError, KVCacheError
 from ..models.architectures import ModelArch
 from ..workload.requests import Sequence
 from .blocks import tokens_per_block
-from .pagetable import PageTable
+from .pagetable import PageTableStore
 
 
 @dataclass
@@ -61,22 +68,32 @@ class KVCacheStats:
 class _SequenceAllocation:
     """Internal record of one resident sequence's KV allocation.
 
-    The per-core slot multiplicity is stored sparsely: ``unique_cores`` holds
-    the local indices of the cores the sequence actually touches and
-    ``unique_counts`` the number of (block, head, K/V) slots on each.  Growth
-    and release then scale with the sequence's footprint instead of the total
-    KV-core count.
+    ``slots[c]`` is the number of (block, head, K/V) slots the sequence holds
+    on local core *c*, one entry per KV core: growth, release and fit checks
+    are then contiguous whole-array operations, which beat fancy indexing
+    even when a sequence touches only a third of the cores.  The sparse form
+    (:attr:`unique_cores`, :attr:`unique_counts`) is what checkpoints store.
     """
 
     sequence_id: int
-    unique_cores: npt.NDArray[np.int64]
-    unique_counts: npt.NDArray[np.int64]
+    slots: npt.NDArray[np.int64]
     blocks_per_slot: int
     tokens: int
+    #: sum and maximum of ``slots`` (fixed for the allocation's life)
+    total_slots: int
+    max_slots_per_core: int
 
     @property
-    def total_slots(self) -> int:
-        return int(self.unique_counts.sum())
+    def unique_cores(self) -> npt.NDArray[np.int64]:
+        """Local indices of the cores the sequence touches, ascending."""
+        # astype(copy=False) is a no-op view (intp == int64 on this
+        # platform); it only pins the static type.
+        return np.flatnonzero(self.slots).astype(np.int64, copy=False)
+
+    @property
+    def unique_counts(self) -> npt.NDArray[np.int64]:
+        """Slots held on each of :attr:`unique_cores`."""
+        return self.slots[self.unique_cores]
 
 
 class DistributedKVCacheManager:
@@ -131,7 +148,6 @@ class DistributedKVCacheManager:
         # its weight cores when the mapper interleaves them.
         self._k_groups: list[list[int]] = []
         self._v_groups: list[list[int]] = []
-        self._ring_pointers: list[int] = []
         groups = 2 * arch.num_blocks
         per_group = max(1, num_cores // groups)
         for block in range(arch.num_blocks):
@@ -145,37 +161,49 @@ class DistributedKVCacheManager:
                 v_group = [v_start % num_cores]
             self._k_groups.append(k_group)
             self._v_groups.append(v_group)
-            self._ring_pointers.append(0)
-        self.page_tables = [PageTable(block_index=b) for b in range(arch.num_blocks)]
+        #: per-block ring position of the next admission's first head
+        self._ring_pointers: npt.NDArray[np.int64] = np.zeros(
+            arch.num_blocks, dtype=np.int64
+        )
+        self._ring_sizes = np.asarray(
+            [max(1, len(group)) for group in self._k_groups], dtype=np.int64
+        )
+        self._page_tables = PageTableStore(arch.num_blocks)
+        #: per-block views of the page tables (lookup / inspection)
+        self.page_tables = self._page_tables.tables()
 
         # Vectorised admission state: all (K, V) groups interleaved in block
-        # order, as one flat index array plus reduceat offsets, and -- when
-        # every group has the same size -- stacked 2D matrices that let one
-        # fancy-index pick the ring cores of every block at once.
-        self._group_arrays = [
+        # order, as one flat index (a plain slice when the groups tile a
+        # prefix of the cores, the usual layout) plus reduceat offsets, and
+        # -- when every group has the same size -- the groups stacked as one
+        # matrix plus a table of the ring positions each head takes from
+        # each pointer, so one column gather picks every block's cores.
+        group_arrays = [
             np.asarray(group, dtype=np.int64)
             for pair in zip(self._k_groups, self._v_groups)
             for group in pair
         ]
-        self._group_concat = np.concatenate(self._group_arrays)
-        sizes = [len(group) for group in self._group_arrays]
+        concat = np.concatenate(group_arrays)
+        self._grouped_cores: slice | npt.NDArray[np.int64] = (
+            slice(0, len(concat))
+            if np.array_equal(concat, np.arange(len(concat)))
+            else concat
+        )
+        sizes = [len(group) for group in group_arrays]
         self._group_offsets = np.cumsum([0] + sizes[:-1])
         heads = self.arch.kv_heads
-        self._head_range = np.arange(heads, dtype=np.int64)
-        self._k_matrix: npt.NDArray[np.int64] | None
-        self._v_matrix: npt.NDArray[np.int64] | None
+        self._group_matrix: npt.NDArray[np.int64] | None = None
+        self._ring_table: npt.NDArray[np.int64] | None = None
         if len(set(sizes)) == 1:
             size = sizes[0]
-            self._k_matrix = np.stack(
-                [np.asarray(g, dtype=np.int64) for g in self._k_groups]
+            self._group_matrix = np.stack(group_arrays)
+            # With fewer cores than heads the walk hands out each core once
+            # in ring order, then pads every remaining head with the first.
+            width = min(size, heads)
+            ring = (np.arange(size)[:, None] + np.arange(width)[None, :]) % size
+            self._ring_table = np.concatenate(
+                [ring, np.repeat(ring[:, :1], heads - width, axis=1)], axis=1
             )
-            self._v_matrix = np.stack(
-                [np.asarray(g, dtype=np.int64) for g in self._v_groups]
-            )
-            self._uniform_group_size = size
-        else:
-            self._k_matrix = self._v_matrix = None
-            self._uniform_group_size = 0
 
     # ------------------------------------------------------------------ sizing
 
@@ -306,40 +334,21 @@ class DistributedKVCacheManager:
         return usable[:count]
 
     def _select_all_blocks_fast(self) -> npt.NDArray[np.int64] | None:
-        """Ring selection for every (block, K/V) group in a few array ops.
+        """Ring selection for every (block, K/V) group in one gather.
 
         Only valid when no core has failed and every core of every group sits
-        above the reservation threshold (the overwhelmingly common case); the
-        caller falls back to the per-group walk otherwise.  Returns an array of
-        shape ``(2 * num_blocks, kv_heads)`` of local core indices, rows
-        alternating K group / V group per block.
+        above the reservation threshold (the overwhelmingly common case), and
+        only for groups of one size, whose ring pointers advance in lockstep;
+        the caller falls back to the per-group walk otherwise (None).
+        Returns an array of shape ``(2 * num_blocks, kv_heads)`` of local
+        core indices, rows alternating K group / V group per block.
         """
-        size = self._uniform_group_size
-        if size == 0:
+        if self._group_matrix is None or self._ring_table is None:
             return None
-        assert self._k_matrix is not None and self._v_matrix is not None
-        heads = len(self._head_range)
-        pointers = np.asarray(self._ring_pointers, dtype=np.int64)
-        rows = np.arange(len(self._k_groups), dtype=np.int64)[:, None]
-        if size >= heads:
-            ring = (pointers[:, None] + self._head_range[None, :]) % size
-            k_sel = self._k_matrix[rows, ring]
-            v_sel = self._v_matrix[rows, ring]
-        else:
-            # Fewer cores than heads: the walk hands out each core once in
-            # ring order, then pads every remaining head with the first
-            # usable core -- replicate that exactly.
-            ring = (pointers[:, None] + np.arange(size, dtype=np.int64)[None, :]) % size
-            k_part = self._k_matrix[rows, ring]
-            v_part = self._v_matrix[rows, ring]
-            k_pad = np.repeat(k_part[:, :1], heads - size, axis=1)
-            v_pad = np.repeat(v_part[:, :1], heads - size, axis=1)
-            k_sel = np.concatenate([k_part, k_pad], axis=1)
-            v_sel = np.concatenate([v_part, v_pad], axis=1)
-        stacked = np.empty((2 * len(self._k_groups), len(self._head_range)), dtype=np.int64)
-        stacked[0::2] = k_sel
-        stacked[1::2] = v_sel
-        return stacked
+        pointer = int(self._ring_pointers[0])
+        if not bool((self._ring_pointers == pointer).all()):
+            return None
+        return np.take(self._group_matrix, self._ring_table[pointer], axis=1)
 
     def try_admit(self, sequence: Sequence) -> bool:
         """Reserve one logical block per (block, head, K/V) slot for a sequence."""
@@ -364,9 +373,8 @@ class DistributedKVCacheManager:
 
         selection: npt.NDArray[np.int64] | None = None
         if not self._failed_cores:
-            group_free = self._free_blocks[self._group_concat]
-            mins = np.minimum.reduceat(group_free, self._group_offsets)
-            if mins.min() > self._threshold_blocks:
+            group_free = self._free_blocks[self._grouped_cores]
+            if group_free.min() > self._threshold_blocks:
                 # Every core of every group is usable: pure ring arithmetic.
                 selection = self._select_all_blocks_fast()
             else:
@@ -380,7 +388,7 @@ class DistributedKVCacheManager:
         if selection is None:
             rows: list[list[int]] = []
             for block in range(num_blocks):
-                pointer = self._ring_pointers[block]
+                pointer = int(self._ring_pointers[block])
                 k_cores = self._select_cores(self._k_groups[block], pointer, heads)
                 v_cores = self._select_cores(self._v_groups[block], pointer, heads)
                 if k_cores is None or v_cores is None:
@@ -390,34 +398,29 @@ class DistributedKVCacheManager:
                 rows.append(v_cores)
             selection = np.asarray(rows, dtype=np.int64)
 
-        counts = np.bincount(selection.ravel(), minlength=self.num_kv_cores)
-        touched = np.nonzero(counts)[0]
-        touched_counts = counts[touched]
-        if np.any(self._free_blocks[touched] < touched_counts):
+        # astype(copy=False) is a no-op view here (bincount yields intp ==
+        # int64 on this platform); it only pins the static type.
+        counts = np.bincount(selection.ravel(), minlength=self.num_kv_cores).astype(
+            np.int64, copy=False
+        )
+        if bool((self._free_blocks < counts).any()):
             self.stats.failed_admissions += 1
             return False
 
-        self._free_blocks[touched] -= touched_counts
-        total_reserved = int(touched_counts.sum())
+        self._free_blocks -= counts
+        total_reserved = int(selection.size)
         self._free_total -= total_reserved
         self._charge_tenant(sequence.tenant, total_reserved)
         self._allocations[sequence_id] = _SequenceAllocation(
             sequence_id=sequence_id,
-            # astype(copy=False) is a no-op view here (bincount/nonzero yield
-            # intp == int64 on this platform); it only pins the static type.
-            unique_cores=touched.astype(np.int64, copy=False),
-            unique_counts=touched_counts.astype(np.int64, copy=False),
+            slots=counts,
             blocks_per_slot=1,
             tokens=0,
+            total_slots=total_reserved,
+            max_slots_per_core=int(counts.max()),
         )
-        global_rows = self._core_ids_array[selection]
-        for block in range(num_blocks):
-            self.page_tables[block].register_heads(
-                sequence_id, global_rows[2 * block], global_rows[2 * block + 1]
-            )
-            self._ring_pointers[block] = (
-                self._ring_pointers[block] + heads
-            ) % max(1, len(self._k_groups[block]))
+        self._page_tables.register(sequence_id, self._core_ids_array[selection])
+        self._ring_pointers = (self._ring_pointers + heads) % self._ring_sizes
         self.stats.admitted_sequences += 1
         self.stats.allocated_blocks += total_reserved
         self._update_peak()
@@ -437,48 +440,138 @@ class DistributedKVCacheManager:
         needed = max(1, math.ceil(new_tokens / self.tokens_per_block))
         delta = needed - allocation.blocks_per_slot
         if delta > 0:
-            required = allocation.unique_counts * delta
-            total_required = int(required.sum())
+            total_required = allocation.total_slots * delta
             if not self._quota_allows(sequence.tenant, total_required):
                 self.stats.failed_growths += 1
                 self.stats.quota_blocked_growths += 1
                 self.last_failure_quota_bound = True
                 return False
-            if np.any(self._free_blocks[allocation.unique_cores] < required):
+            required = allocation.slots * delta
+            if bool((self._free_blocks < required).any()):
                 self.stats.failed_growths += 1
                 return False
-            self._free_blocks[allocation.unique_cores] -= required
+            self._free_blocks -= required
             self._free_total -= total_required
             self._charge_tenant(sequence.tenant, total_required)
             if self._failed_cores:
                 self._free_on_failed -= self._sum_on_failed(allocation, delta)
             allocation.blocks_per_slot = needed
             self.stats.allocated_blocks += total_required
+            # Only an allocating growth can raise the used count.
+            self._update_peak()
         allocation.tokens = new_tokens
-        self._update_peak()
         return True
 
-    def append_token(self, sequence: Sequence) -> bool:
-        """Scheduler-protocol alias for :meth:`append_tokens` with one token."""
-        return self.append_tokens(sequence, 1)
+    def grow_batch(
+        self,
+        sequences: list[Sequence],
+        takes: npt.NDArray[np.int64],
+        completing: npt.NDArray[np.bool_],
+    ) -> bool:
+        """Grow every sequence by its take at once, or change nothing.
+
+        Equivalent to the ordered walk ``append_tokens(sequences[i],
+        takes[i])`` over the nonzero takes, with ``release(sequences[i])``
+        right after each ``completing`` row's growth — applied only when a
+        sufficient condition proves that no growth in that walk can fail:
+
+        * no core has failed;
+        * the least free core has room for the worst case of every growing
+          row landing on it, ``sum(max(unique_counts) * new blocks per
+          slot)``; and
+        * no capped tenant's holding plus all its rows' growth exceeds its
+          cap.
+
+        Releases in the walk only add free blocks, so ignoring them keeps the
+        condition sound.  Otherwise returns False with no state touched.  On
+        success every stat matches the walk's — ``peak_used_blocks`` is the
+        walk's prefix maximum — but the releases are left to the caller.
+        """
+        if self._failed_cores:
+            return False
+        allocations = self._allocations
+        try:
+            batch = [allocations[sequence.sequence_id] for sequence in sequences]
+        except KeyError as exc:
+            raise KVCacheError(
+                f"sequence {exc.args[0]} is not resident in the KV cache"
+            ) from None
+        if len(takes) and int(takes.min()) < 0:
+            raise KVCacheError("count must be non-negative")
+        tokens = np.fromiter(
+            (allocation.tokens for allocation in batch), dtype=np.int64, count=len(batch)
+        )
+        grown = tokens + takes
+        per_block = self.tokens_per_block
+        # blocks_per_slot == max(1, ceil(tokens / tokens_per_block)) always
+        needed = np.maximum(1, -(-grown // per_block))
+        deltas = needed - np.maximum(1, -(-tokens // per_block))
+        crossing = np.flatnonzero(deltas).tolist()  # rows allocating blocks
+        new_blocks = {row: batch[row].total_slots * int(deltas[row]) for row in crossing}
+        if crossing:
+            worst = sum(
+                batch[row].max_slots_per_core * int(deltas[row]) for row in crossing
+            )
+            if worst > int(self._free_blocks.min()):
+                return False
+        caps = self._tenant_quota_blocks
+        if caps:
+            tenant_growth: dict[str, int] = {}
+            for row, blocks in new_blocks.items():
+                tenant = sequences[row].tenant
+                if tenant in caps:
+                    tenant_growth[tenant] = tenant_growth.get(tenant, 0) + blocks
+            for tenant, blocks in tenant_growth.items():
+                if self._tenant_used[tenant] + blocks > caps[tenant]:
+                    return False
+
+        # Proven: apply.  The peak is the walk's prefix maximum over "grow
+        # row i, then release it if it completes".  Between events the used
+        # count only falls, so the events (and the starting count) suffice.
+        used = self.used_blocks
+        peak = self.stats.peak_used_blocks
+        if bool(takes.any()):
+            self.last_failure_quota_bound = False
+            peak = max(peak, used)
+        releases = {
+            row: batch[row].total_slots * int(needed[row])
+            for row in np.flatnonzero(completing & (takes > 0)).tolist()
+        }
+        for row in sorted(new_blocks.keys() | releases.keys()):
+            used += new_blocks.get(row, 0)
+            peak = max(peak, used)
+            used -= releases.get(row, 0)
+        for row, blocks in new_blocks.items():
+            allocation = batch[row]
+            delta = int(deltas[row])
+            # Most growths add one block per slot: skip the multiply.
+            self._free_blocks -= allocation.slots if delta == 1 else allocation.slots * delta
+            allocation.blocks_per_slot = int(needed[row])
+            self._charge_tenant(sequences[row].tenant, blocks)
+        allocated = sum(new_blocks.values())
+        self._free_total -= allocated
+        self.stats.allocated_blocks += allocated
+        self.stats.peak_used_blocks = peak
+        for allocation, count in zip(batch, grown.tolist()):
+            allocation.tokens = count
+        return True
 
     def release(self, sequence: Sequence) -> None:
         """Free every block held by a sequence (completion or eviction)."""
         allocation = self._allocations.pop(sequence.sequence_id, None)
         if allocation is None:
             return
-        returned = allocation.unique_counts * allocation.blocks_per_slot
-        self._free_blocks[allocation.unique_cores] += returned
-        self._free_total += int(returned.sum())
-        self._charge_tenant(sequence.tenant, -int(returned.sum()))
+        self._free_blocks += allocation.slots * allocation.blocks_per_slot
+        returned = allocation.total_slots * allocation.blocks_per_slot
+        self._free_total += returned
+        self._charge_tenant(sequence.tenant, -returned)
         if self._failed_cores:
             self._free_on_failed += self._sum_on_failed(
                 allocation, allocation.blocks_per_slot
             )
-        for table in self.page_tables:
-            table.remove(sequence.sequence_id)
+        self._page_tables.remove(sequence.sequence_id)
         self.stats.released_sequences += 1
-        self.stats.released_blocks += int(returned.sum())
+        self.stats.released_blocks += returned
 
     def _sum_on_failed(self, allocation: _SequenceAllocation, per_slot: int) -> int:
         """Blocks of an allocation delta that land on failed cores."""
@@ -486,10 +579,7 @@ class DistributedKVCacheManager:
             self._core_index[core_id]
             for core_id in sorted(self._failed_cores)
         ]
-        mask = np.isin(allocation.unique_cores, failed_locals)
-        if not mask.any():
-            return 0
-        return int(allocation.unique_counts[mask].sum()) * per_slot
+        return int(allocation.slots[failed_locals].sum()) * per_slot
 
     # ---------------------------------------------------------------- failures
 
@@ -508,7 +598,7 @@ class DistributedKVCacheManager:
         affected = [
             allocation.sequence_id
             for allocation in self._allocations.values()
-            if bool((allocation.unique_cores == local).any())
+            if allocation.slots[local] > 0
         ]
         return affected
 
@@ -529,7 +619,7 @@ class DistributedKVCacheManager:
         return [
             allocation.sequence_id
             for allocation in self._allocations.values()
-            if bool((allocation.unique_cores == local).any())
+            if allocation.slots[local] > 0
         ]
 
     # -------------------------------------------------------------- checkpoint
@@ -555,8 +645,8 @@ class DistributedKVCacheManager:
                 ]
                 for allocation in self._allocations.values()
             ],
-            "ring_pointers": list(self._ring_pointers),
-            "page_tables": [table.snapshot_state() for table in self.page_tables],
+            "ring_pointers": self._ring_pointers.tolist(),
+            "page_tables": self._page_tables.snapshot_state(),
             "failed_cores": sorted(self._failed_cores),
             "free_total": self._free_total,
             "free_on_failed": self._free_on_failed,
@@ -567,19 +657,20 @@ class DistributedKVCacheManager:
 
     def restore_state(self, state: dict[str, Any]) -> None:
         self._free_blocks = np.asarray(state["free_blocks"], dtype=np.int64)
-        self._allocations = {
-            sequence_id: _SequenceAllocation(
+        self._allocations = {}
+        for sequence_id, data in state["allocations"]:
+            slots = np.zeros(self.num_kv_cores, dtype=np.int64)
+            slots[np.asarray(data["cores"], dtype=np.int64)] = data["counts"]
+            self._allocations[sequence_id] = _SequenceAllocation(
                 sequence_id=sequence_id,
-                unique_cores=np.asarray(data["cores"], dtype=np.int64),
-                unique_counts=np.asarray(data["counts"], dtype=np.int64),
+                slots=slots,
                 blocks_per_slot=data["blocks_per_slot"],
                 tokens=data["tokens"],
+                total_slots=int(slots.sum()),
+                max_slots_per_core=int(slots.max()),
             )
-            for sequence_id, data in state["allocations"]
-        }
-        self._ring_pointers = list(state["ring_pointers"])
-        for table, table_state in zip(self.page_tables, state["page_tables"]):
-            table.restore_state(table_state)
+        self._ring_pointers = np.asarray(state["ring_pointers"], dtype=np.int64)
+        self._page_tables.restore_state(state["page_tables"])
         self._failed_cores = set(state["failed_cores"])
         self._free_total = state["free_total"]
         self._free_on_failed = state["free_on_failed"]

@@ -13,6 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+import numpy.typing as npt
+
 from ..errors import ConfigurationError, KVCacheError
 from ..models.architectures import ModelArch
 from ..workload.requests import Sequence
@@ -170,8 +173,32 @@ class StaticKVCacheManager:
             )
         return sequence.context_length + count <= self.reserved_context
 
-    def append_token(self, sequence: Sequence) -> bool:
-        return self.append_tokens(sequence, 1)
+    def grow_batch(
+        self,
+        sequences: list[Sequence],
+        takes: npt.NDArray[np.int64],
+        completing: npt.NDArray[np.bool_],
+    ) -> bool:
+        """Batch form of :meth:`append_tokens` over the nonzero takes.
+
+        Growth changes no state here, and releasing completed sequences
+        cannot change whether a later one fits its reservation, so the batch
+        succeeds exactly when every growing sequence stays within the
+        reserved context (``completing`` is accepted for the shared
+        protocol).  Returns False otherwise, with nothing changed.
+        """
+        for sequence in sequences:
+            if sequence.sequence_id not in self._resident:
+                raise KVCacheError(
+                    f"sequence {sequence.sequence_id} is not resident in the KV cache"
+                )
+        positions = np.fromiter(
+            (sequence.context_length for sequence in sequences),
+            dtype=np.int64,
+            count=len(sequences),
+        )
+        fits = (positions + takes <= self.reserved_context) | (takes == 0)
+        return bool(fits.all())
 
     def release(self, sequence: Sequence) -> None:
         reserved = self._resident.pop(sequence.sequence_id, None)

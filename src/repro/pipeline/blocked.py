@@ -22,9 +22,10 @@ arrival boundary before it commits.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..models.architectures import AttentionMask
-from ..workload.requests import Sequence
-from .engine import PipelineEngine
+from .engine import PipelineEngine, PrefillSegments
 
 #: relative throughput penalty of blocking measured on decoder-only models
 BLOCKING_OVERHEAD = 0.05
@@ -41,7 +42,7 @@ class BlockedTokenGrainedPipeline(PipelineEngine):
 
     def epoch_utilization(
         self,
-        prefill_segments: list[tuple[Sequence, int]],
+        prefill_segments: PrefillSegments,
         decode_sequences: int,
     ) -> float:
         utilization, self._longest_seen = self._utilization_and_watermark(
@@ -51,7 +52,7 @@ class BlockedTokenGrainedPipeline(PipelineEngine):
 
     def planned_utilization(
         self,
-        prefill_segments: list[tuple[Sequence, int]],
+        prefill_segments: PrefillSegments,
         decode_sequences: int,
     ) -> float:
         # Planning must not advance the longest-sequence watermark: a plan
@@ -64,22 +65,22 @@ class BlockedTokenGrainedPipeline(PipelineEngine):
 
     def _utilization_and_watermark(
         self,
-        prefill_segments: list[tuple[Sequence, int]],
+        prefill_segments: PrefillSegments,
         decode_sequences: int,
     ) -> tuple[float, int]:
         longest_seen = self._longest_seen
-        in_flight = 0.0
+        # Integer sums over the segments: exact, so order-free.
+        in_flight = int(np.minimum(self.depth, prefill_segments.streams).sum())
+        epoch_tokens = float(decode_sequences + int(prefill_segments.takes.sum()))
+        # The attention stages stall for the length differential whenever a
+        # longer-than-ever sequence enters (Section 4.2.2); over the epoch the
+        # stalls telescope to the rise of the longest-sequence watermark.
         bubble_tokens = 0.0
-        epoch_tokens = float(decode_sequences)
-        for sequence, count in prefill_segments:
-            in_flight += min(self.depth, count + sequence.remaining_prefill)
-            epoch_tokens += count
-            total_length = sequence.request.prefill_length
-            if total_length > longest_seen:
-                # The attention stages stall for the length differential when a
-                # longer-than-ever sequence enters (Section 4.2.2).
-                bubble_tokens += total_length - longest_seen
-                longest_seen = total_length
+        if len(prefill_segments.lengths):
+            longest = int(prefill_segments.lengths.max())
+            if longest > longest_seen:
+                bubble_tokens = float(longest - longest_seen)
+                longest_seen = longest
         in_flight += decode_sequences
         if in_flight <= 0:
             return 0.0, longest_seen

@@ -42,15 +42,24 @@ Latency accounting is tenant-aware: every request carries a ``tenant`` id and
 Two implementations of the epoch loop exist, as two per-epoch *advance
 strategies* driven by one shared loop (:meth:`PipelineEngine._drive`):
 
-* :meth:`PipelineEngine.run` -- the fast path.  Every epoch it materialises
-  the active sequences' integer state (remaining prefill/decode, positions,
-  budgets) as flat numpy arrays, derives each sequence's prefill/decode takes
-  with a handful of vectorised operations, and accumulates energy as
-  per-quantized-context-bin token counts that are scaled by the memoized
-  :class:`EnergyBreakdown` once per epoch.  No per-segment energy objects are
-  allocated and the scheduler is queried through its O(1) membership set.
+* :meth:`PipelineEngine.run` -- the fast path, which works on arrays.  The
+  scheduler keeps the active sequences' integer state (remaining prefill and
+  decode, position, generated tokens, prompt length) as an
+  :class:`~repro.workload.active_rows.ActiveRows` buffer, appending a column
+  on admission and deleting it when a sequence leaves, so nothing is rebuilt
+  from :class:`Sequence` objects per epoch.  An epoch is one batched step:
+  plan the takes, grow the whole batch's KV in one all-or-nothing
+  ``grow_batch``, derive the tally (integer-accumulated context weight,
+  energy as per-quantized-context-bin token counts scaled by the memoized
+  :class:`EnergyBreakdown` once per bin) and write the takes back.  Python
+  touches single sequences only where a mask selects them: first tokens,
+  phase changes and completions.  When the batch growth declines -- KV
+  pressure, a failed core, a tenant near its quota -- the epoch runs the
+  scalar walk below instead, whose evictions and sheds need the ordered
+  per-sequence order.
 * :meth:`PipelineEngine.run_scalar` -- the retained scalar reference: the
-  original one-sequence-at-a-time loop, kept for validation.  It shares the
+  original one-sequence-at-a-time loop, kept for validation.  It re-derives
+  the array state from the sequences after every epoch, and shares the
   epoch loop and the epoch-closing arithmetic (duration, utilization,
   per-bin energy scaling) with the fast path, so the two produce
   bitwise-identical :class:`RunResult` fields; the equivalence suite asserts
@@ -82,6 +91,7 @@ from ..errors import ConfigurationError, SimulationError
 from ..models.architectures import ModelArch
 from ..models.pipeline_stages import pipeline_depth
 from ..results import EnergyBreakdown, FaultStats, RunResult, ServeAccumulator
+from ..workload import active_rows
 from ..workload.generator import Trace
 from ..workload.policies import SchedulingPolicy, make_policy, validate_policy_name
 from ..workload.requests import Sequence, SequencePhase
@@ -174,19 +184,64 @@ class EpochRecord:
 class EpochPlan:
     """Per-sequence token takes for one epoch, shared by both engine paths.
 
-    ``budgets[i]`` caps sequence *i*'s tokens this epoch; the prefill/decode
-    split and average attended contexts are the vectorised derivation the fast
-    path commits directly.  ``split`` marks plans whose budgets were truncated
-    so the epoch closes at the next queue-head arrival instead of running a
-    full chunk past it.
+    ``budgets[i]`` caps active sequence *i*'s tokens this epoch; the
+    prefill/decode split is the vectorised derivation the fast path commits
+    directly.  ``columns`` is the copy of the scheduler's
+    :class:`~repro.workload.active_rows.ActiveRows` the plan was derived
+    from.  ``split`` marks plans whose budgets were truncated so the epoch
+    closes at the next queue-head arrival instead of running a full chunk
+    past it.
     """
 
-    budgets: list[int]
-    prefill_takes: list[int]
-    decode_takes: list[int]
-    prefill_avgs: list[float]
-    decode_avgs: list[float]
+    budgets: np.ndarray
+    prefill_takes: np.ndarray
+    decode_takes: np.ndarray
+    columns: np.ndarray
     split: bool = False
+
+
+@dataclass(frozen=True)
+class PrefillSegments:
+    """An epoch's prefill segments as parallel int arrays, in active order.
+
+    ``takes`` are the prompt tokens each segment processed, ``streams`` the
+    tokens its sequence could stream into the pipeline (the take plus the
+    prompt still left after it) and ``lengths`` the request prompt lengths.
+    """
+
+    takes: np.ndarray
+    streams: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, segments: list[tuple[Sequence, int]]) -> "PrefillSegments":
+        """Segments from ``(sequence, take)`` pairs, reading each sequence now."""
+        return cls(
+            takes=np.asarray([count for _, count in segments], dtype=np.int64),
+            streams=np.asarray(
+                [count + sequence.remaining_prefill for sequence, count in segments],
+                dtype=np.int64,
+            ),
+            lengths=np.asarray(
+                [sequence.request.prefill_length for sequence, _ in segments],
+                dtype=np.int64,
+            ),
+        )
+
+
+_NO_SEGMENTS = PrefillSegments.from_pairs([])
+
+
+def _twice_context_weight(starts: np.ndarray, takes: np.ndarray) -> int:
+    """Twice the sum of average attended context times tokens over segments.
+
+    A segment of ``take`` tokens starting at position ``start`` averages
+    ``start + (take - 1) / 2``, so twice its weight is the exact integer
+    ``(2 * start + take - 1) * take``: halving the sum reproduces, bit for
+    bit, the scalar walk's float accumulation of exact half-integers (below
+    2**53).
+    """
+    return int(((2 * starts + takes - 1) * takes).sum())
 
 
 @dataclass
@@ -201,7 +256,7 @@ class _EpochTally:
     tokens: int = 0
     context_weighted: float = 0.0
     energy_bins: dict[int, int] = field(default_factory=dict)
-    prefill_segments: list[tuple[Sequence, int]] = field(default_factory=list)
+    prefill_segments: PrefillSegments = _NO_SEGMENTS
     decode_sequences: int = 0
     max_decode_chunk: int = 0
     first_decoders: list[Sequence] = field(default_factory=list)
@@ -296,7 +351,7 @@ class PipelineEngine:
 
     def epoch_utilization(
         self,
-        prefill_segments: list[tuple[Sequence, int]],
+        prefill_segments: PrefillSegments,
         decode_sequences: int,
     ) -> float:
         """Fraction of pipeline slots doing useful work this epoch."""
@@ -304,7 +359,7 @@ class PipelineEngine:
 
     def planned_utilization(
         self,
-        prefill_segments: list[tuple[Sequence, int]],
+        prefill_segments: PrefillSegments,
         decode_sequences: int,
     ) -> float:
         """Side-effect-free utilization estimate for sub-epoch planning.
@@ -376,59 +431,80 @@ class PipelineEngine:
 
     def _advance_epoch_fast(
         self, snapshot: list[Sequence], plan: EpochPlan, time_s: float
-    ) -> _EpochTally:
-        """Vectorised advance: commit the plan's takes directly.
+    ) -> _EpochTally | None:
+        """Array advance: the whole active set in one batched step.
 
-        Flat integer state of every active sequence was derived by the plan
-        in a few vectorised operations: every sequence takes min(chunk,
-        remaining) tokens — truncated when the next arrival lands mid-epoch —
-        split into a prefill take at its current position and a decode take
-        right after it.
+        Grows every sequence's KV through the scheduler's all-or-nothing
+        ``grow_batch``; when that declines, returns None with nothing
+        changed and the caller runs :meth:`_advance_epoch_scalar` instead.
+        Otherwise no sequence was evicted or shed, so the tally follows from
+        the plan's arrays: context weights accumulate as exact integers
+        (:func:`_twice_context_weight`), energy bins keep the scalar walk's
+        first-touch order (prefill before decode, sequence by sequence) and
+        ``np.round`` matches Python's half-to-even ``round``.
         """
         scheduler = self.scheduler
-        tally = _EpochTally()
-        budget_list = plan.budgets
-        prefill_take_list = plan.prefill_takes
-        decode_take_list = plan.decode_takes
-        prefill_avg_list = plan.prefill_avgs
-        decode_avg_list = plan.decode_avgs
-        energy_bins = tally.energy_bins
+        budgets = plan.budgets
+        prefill = plan.prefill_takes
+        decode = plan.decode_takes
+        columns = plan.columns
+        rem_prefill = columns[active_rows.REM_PREFILL]
+        rem_decode = columns[active_rows.REM_DECODE]
+        positions = columns[active_rows.POSITION]
+        completing = (budgets > 0) & (rem_prefill + rem_decode == budgets)
+        if not scheduler.grow_batch(snapshot, budgets, completing):
+            return None
 
-        for i, sequence in enumerate(snapshot):
-            if not scheduler.is_active(sequence):
-                continue  # evicted by an earlier sequence's KV growth
-            budget = budget_list[i]
-            if budget <= 0:
-                continue
-            if not scheduler.grow_sequence(sequence, budget):
-                continue
-            prefill_take = prefill_take_list[i]
-            decode_take = decode_take_list[i]
-            if prefill_take > 0:
-                avg_context = prefill_avg_list[i]
-                tally.tokens += prefill_take
-                tally.context_weighted += avg_context * prefill_take
-                key = self._quantize(avg_context)
-                energy_bins[key] = energy_bins.get(key, 0) + prefill_take
-                tally.prefill_segments.append((sequence, prefill_take))
-            if decode_take > 0:
-                avg_context = decode_avg_list[i]
-                tally.tokens += decode_take
-                tally.context_weighted += avg_context * decode_take
-                key = self._quantize(avg_context)
-                energy_bins[key] = energy_bins.get(key, 0) + decode_take
-                tally.decode_sequences += 1
-                if decode_take > tally.max_decode_chunk:
-                    tally.max_decode_chunk = decode_take
-                if sequence.generated_tokens == 0:
-                    tally.first_decoders.append(sequence)
-            sequence.apply_advance(prefill_take, decode_take)
-            if sequence.is_complete:
-                # Scheduler bookkeeping (KV release, admission resume)
-                # happens mid-epoch; the wall-clock stamp is corrected to
-                # the epoch end by the driver, once the duration is known.
-                scheduler.complete(sequence, time_s)
-                tally.finished.append(sequence)
+        # Segment starts and takes, interleaved prefill/decode per sequence.
+        starts = np.empty(2 * len(budgets), dtype=np.int64)
+        starts[0::2] = positions
+        starts[1::2] = positions + prefill
+        takes = np.empty(2 * len(budgets), dtype=np.int64)
+        takes[0::2] = prefill
+        takes[1::2] = decode
+        quantum = self.config.context_quantum
+        keys = np.maximum(
+            1, np.round((starts + (takes - 1) / 2.0) / quantum).astype(np.int64) * quantum
+        )
+        touched = takes > 0
+        energy_bins: dict[int, int] = {}
+        for key, count in zip(keys[touched].tolist(), takes[touched].tolist()):
+            energy_bins[key] = energy_bins.get(key, 0) + count
+
+        prefilling = prefill > 0
+        tally = _EpochTally(
+            tokens=int(budgets.sum()),
+            context_weighted=_twice_context_weight(starts, takes) / 2,
+            energy_bins=energy_bins,
+            prefill_segments=PrefillSegments(
+                takes=prefill[prefilling],
+                streams=rem_prefill[prefilling],
+                lengths=columns[active_rows.PROMPT][prefilling],
+            ),
+            decode_sequences=int(np.count_nonzero(decode)),
+            max_decode_chunk=int(decode.max()) if len(decode) else 0,
+        )
+        first_tokens = (decode > 0) & (columns[active_rows.GENERATED] == 0)
+        for i in np.flatnonzero(first_tokens).tolist():
+            tally.first_decoders.append(snapshot[i])
+
+        # Write the takes back: the sequences stay authoritative.
+        for sequence, prefill_take, decode_take in zip(
+            snapshot, prefill.tolist(), decode.tolist()
+        ):
+            sequence.prefill_progress += prefill_take
+            sequence.decode_progress += decode_take
+        entering_decode = prefilling & (rem_prefill == prefill) & (rem_decode > decode)
+        for i in np.flatnonzero(entering_decode).tolist():
+            snapshot[i].phase = SequencePhase.DECODE
+        scheduler.rows.advance(prefill, decode)
+        for i in np.flatnonzero(completing).tolist():
+            # Scheduler bookkeeping (KV release, admission resume) happens
+            # here; the wall-clock stamp is corrected to the epoch end by
+            # the driver, once the duration is known.
+            sequence = snapshot[i]
+            scheduler.complete(sequence, time_s)
+            tally.finished.append(sequence)
         return tally
 
     def _advance_epoch_scalar(
@@ -440,16 +516,21 @@ class PipelineEngine:
         takes the per-sequence token caps from the shared plan so the
         sub-epoch split boundary is decided by the exact same arithmetic as
         the fast path (the untruncated cap is min(chunk, remaining tokens of
-        the current phase chain)).
+        the current phase chain)).  KV growth may evict later sequences or
+        shed this one, which is why the fast path falls back here under
+        pressure.  Afterwards the scheduler's array state is re-derived from
+        the advanced sequences.
         """
         scheduler = self.scheduler
         tally = _EpochTally()
         energy_bins = tally.energy_bins
+        budgets = plan.budgets.tolist()
+        prefill_segments: list[tuple[Sequence, int]] = []
 
         for index, sequence in enumerate(snapshot):  # `snapshot` is a copy
             if not scheduler.is_active(sequence):
                 continue  # evicted by an earlier sequence's KV growth
-            budget = plan.budgets[index]
+            budget = budgets[index]
             if budget <= 0:
                 continue
             if not scheduler.grow_sequence(sequence, budget):
@@ -463,7 +544,7 @@ class PipelineEngine:
                 key = self._quantize(avg_context)
                 energy_bins[key] = energy_bins.get(key, 0) + count
                 if phase is SequencePhase.PREFILL:
-                    tally.prefill_segments.append((sequence, count))
+                    prefill_segments.append((sequence, count))
                 else:
                     tally.decode_sequences += 1
                     tally.max_decode_chunk = max(tally.max_decode_chunk, count)
@@ -475,6 +556,9 @@ class PipelineEngine:
                 # the epoch end by the driver, once the duration is known.
                 scheduler.complete(sequence, time_s)
                 tally.finished.append(sequence)
+        # Read at close time, like the sequences' state the strategies see.
+        tally.prefill_segments = PrefillSegments.from_pairs(prefill_segments)
+        scheduler.rows.resync(scheduler.active)
         return tally
 
     def _drive(
@@ -578,7 +662,7 @@ class PipelineEngine:
                     # (which would have split it), then re-plan with whatever
                     # the wait released.  No epoch index is consumed: batch
                     # never ran these aborted plans.
-                    horizon = time_s + self._plan_horizon(active, plan)
+                    horizon = time_s + self._plan_horizon(plan)
                     if arrival_feed.watermark() < horizon:
                         live_sync(horizon, wait=True)
                         continue
@@ -586,6 +670,10 @@ class PipelineEngine:
                     self._split_epochs += 1
 
                 tally = advance(active, plan, time_s)
+                if tally is None:
+                    # The batch KV growth declined: this epoch needs the
+                    # ordered per-sequence walk (evictions, quota sheds).
+                    tally = self._advance_epoch_scalar(active, plan, time_s)
 
                 if tally.tokens == 0:
                     stalled_epochs = self._handle_stall(stalled_epochs)
@@ -634,22 +722,14 @@ class PipelineEngine:
             utilization_time, injector.stats if injector is not None else None,
         )
 
-    def _plan_horizon(self, snapshot: list[Sequence], plan: EpochPlan) -> float:
+    def _plan_horizon(self, plan: EpochPlan) -> float:
         """Planned duration of ``plan`` — the live feed's watermark gate.
 
-        Rebuilds the planner's arrays from the committed plan (a split plan's
-        takes already end at the in-queue arrival, so its horizon never
-        reaches past the watermark that released that arrival).
+        A split plan's takes already end at the in-queue arrival, so its
+        horizon never reaches past the watermark that released that arrival.
         """
-        positions = np.fromiter(
-            (s.context_length for s in snapshot), dtype=np.int64,
-            count=len(snapshot),
-        )
         return self._planned_duration(
-            snapshot,
-            positions,
-            np.asarray(plan.prefill_takes, dtype=np.int64),
-            np.asarray(plan.decode_takes, dtype=np.int64),
+            plan.columns, plan.prefill_takes, plan.decode_takes
         )
 
     def _ingest_live(self, arrival_feed, trace: Trace) -> None:
@@ -882,32 +962,31 @@ class PipelineEngine:
         most one token per active sequence — the bounded admission error the
         split exists to provide.
 
-        Both engine paths call this exact code, so the split decision — the
-        only place planned (pre-KV-growth) floating-point arithmetic feeds
-        back into the simulation — can never diverge between them.  A trace
-        whose queue head has already arrived (closed batch, or a head blocked
-        on capacity) never splits.
+        The per-sequence state comes from the scheduler's
+        :class:`~repro.workload.active_rows.ActiveRows`, aligned with
+        ``snapshot``.  Both engine paths call this exact code, so the split
+        decision — the only place planned (pre-KV-growth) floating-point
+        arithmetic feeds back into the simulation — can never diverge between
+        them.  A trace whose queue head has already arrived (closed batch, or
+        a head blocked on capacity) never splits.
         """
-        count = len(snapshot)
+        rows = self.scheduler.rows
+        if rows.size != len(snapshot):
+            raise SimulationError(
+                "internal error: the scheduler's active rows are out of step "
+                "with its active list"
+            )
         chunk = self.config.chunk_tokens
-        rem_prefill = np.fromiter(
-            (s.remaining_prefill for s in snapshot), dtype=np.int64, count=count
-        )
-        rem_decode = np.fromiter(
-            (s.remaining_decode for s in snapshot), dtype=np.int64, count=count
-        )
-        positions = np.fromiter(
-            (s.context_length for s in snapshot), dtype=np.int64, count=count
-        )
+        columns = rows.state()
+        rem_prefill = columns[active_rows.REM_PREFILL]
+        rem_decode = columns[active_rows.REM_DECODE]
         budgets = np.minimum(chunk, rem_prefill + rem_decode)
         prefill_takes = np.minimum(budgets, rem_prefill)
         decode_takes = np.minimum(budgets - prefill_takes, rem_decode)
         split = False
         gap = self._gap_to_next_arrival(time_s)
         if gap is not None:
-            planned = self._planned_duration(
-                snapshot, positions, prefill_takes, decode_takes
-            )
+            planned = self._planned_duration(columns, prefill_takes, decode_takes)
             if 0.0 < gap < planned:
                 fraction = gap / planned
                 budgets = np.where(
@@ -918,14 +997,11 @@ class PipelineEngine:
                 prefill_takes = np.minimum(budgets, rem_prefill)
                 decode_takes = np.minimum(budgets - prefill_takes, rem_decode)
                 split = True
-        prefill_avgs = positions + (prefill_takes - 1) / 2.0
-        decode_avgs = (positions + prefill_takes) + (decode_takes - 1) / 2.0
         return EpochPlan(
-            budgets=budgets.tolist(),
-            prefill_takes=prefill_takes.tolist(),
-            decode_takes=decode_takes.tolist(),
-            prefill_avgs=prefill_avgs.tolist(),
-            decode_avgs=decode_avgs.tolist(),
+            budgets=budgets,
+            prefill_takes=prefill_takes,
+            decode_takes=decode_takes,
+            columns=columns,
             split=split,
         )
 
@@ -948,37 +1024,39 @@ class PipelineEngine:
 
     def _planned_duration(
         self,
-        snapshot: list[Sequence],
-        positions: np.ndarray,
+        columns: np.ndarray,
         prefill_takes: np.ndarray,
         decode_takes: np.ndarray,
     ) -> float:
         """Estimated duration of an epoch advancing the planned takes.
 
         Mirrors :meth:`_close_epoch`'s duration arithmetic on the *planned*
-        state: KV-growth failures and mid-epoch evictions can still shrink the
-        epoch that actually runs, so this is a deterministic estimate for the
-        split decision, not the closing value.  Uses the side-effect-free
-        :meth:`planned_utilization` because a truncated plan is re-evaluated
-        at close time.
+        state (``columns`` as in :class:`EpochPlan`): KV-growth failures and
+        mid-epoch evictions can still shrink the epoch that actually runs,
+        so this is a deterministic estimate for the split decision, not the
+        closing value.  Uses the side-effect-free :meth:`planned_utilization`
+        because a truncated plan is re-evaluated at close time.
         """
         epoch_tokens = int(prefill_takes.sum()) + int(decode_takes.sum())
         if epoch_tokens <= 0:
             return 0.0
-        prefill_avgs = positions + (prefill_takes - 1) / 2.0
-        decode_avgs = (positions + prefill_takes) + (decode_takes - 1) / 2.0
-        context_weighted = float(
-            np.sum(prefill_avgs * prefill_takes) + np.sum(decode_avgs * decode_takes)
+        positions = columns[active_rows.POSITION]
+        twice_weighted = _twice_context_weight(
+            positions, prefill_takes
+        ) + _twice_context_weight(positions + prefill_takes, decode_takes)
+        interval = self.stage_interval(twice_weighted / 2 / epoch_tokens)
+        prefilling = prefill_takes > 0
+        takes = prefill_takes[prefilling]
+        # Planned before the advance: a segment streams its take plus the
+        # prompt left *now* (the committed epoch reads it after the advance).
+        segments = PrefillSegments(
+            takes=takes,
+            streams=takes + columns[active_rows.REM_PREFILL][prefilling],
+            lengths=columns[active_rows.PROMPT][prefilling],
         )
-        interval = self.stage_interval(context_weighted / epoch_tokens)
-        prefill_segments = [
-            (snapshot[i], take)
-            for i, take in enumerate(prefill_takes.tolist())
-            if take > 0
-        ]
         decode_count = int(np.count_nonzero(decode_takes))
         utilization = max(
-            1e-6, min(1.0, self.planned_utilization(prefill_segments, decode_count))
+            1e-6, min(1.0, self.planned_utilization(segments, decode_count))
         )
         duration = epoch_tokens * interval / utilization
         max_decode_chunk = int(decode_takes.max()) if len(decode_takes) else 0
@@ -1078,13 +1156,11 @@ class PipelineEngine:
                 f"pipeline made no progress for {_MAX_STALLED_EPOCHS} consecutive "
                 "epochs; a sequence's context does not fit the configured KV cache"
             )
-        victim = self.scheduler.evict_most_recent()
-        if victim is None:
-            # Nothing is left to evict: the epoch's only sequence was shed
-            # mid-growth as quota-doomed.  The loop's all_done / admission
-            # checks decide whether to refill or finish; with queued work the
-            # stalled-epoch bound above still backstops a genuine livelock.
-            return stalled_epochs
+        # With nothing left to evict (the epoch's only sequence was shed
+        # mid-growth as quota-doomed) this is a no-op: the loop's all_done /
+        # admission checks decide whether to refill or finish, and with queued
+        # work the stalled-epoch bound above backstops a genuine livelock.
+        self.scheduler.evict_most_recent()
         return stalled_epochs
 
     def _close_epoch(
@@ -1092,7 +1168,7 @@ class PipelineEngine:
         epoch_tokens: int,
         context_weighted: float,
         energy_bins: dict[int, int],
-        prefill_segments: list[tuple[Sequence, int]],
+        prefill_segments: PrefillSegments,
         decode_sequences: int,
         max_decode_chunk: int,
     ) -> tuple[float, float, EnergyBreakdown]:

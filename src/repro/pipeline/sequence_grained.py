@@ -16,8 +16,7 @@ Both effects are modelled per epoch from the actual set of in-flight items.
 
 from __future__ import annotations
 
-from ..workload.requests import Sequence
-from .engine import PipelineEngine
+from .engine import PipelineEngine, PrefillSegments
 
 
 class SequenceGrainedPipeline(PipelineEngine):
@@ -27,15 +26,14 @@ class SequenceGrainedPipeline(PipelineEngine):
 
     def epoch_utilization(
         self,
-        prefill_segments: list[tuple[Sequence, int]],
+        prefill_segments: PrefillSegments,
         decode_sequences: int,
     ) -> float:
         # Work-item sizes currently in flight: one item per prefilling
         # sequence (its remaining prompt chunk) and one single-token item per
-        # decoding sequence.
-        item_sizes: list[float] = []
-        for sequence, count in prefill_segments:
-            item_sizes.append(float(count + sequence.remaining_prefill))
+        # decoding sequence.  The Python sums below run left to right over
+        # Python floats; numpy's pairwise sum would change the bits.
+        item_sizes = [float(size) for size in prefill_segments.streams.tolist()]
         item_sizes.extend([1.0] * decode_sequences)
         if not item_sizes:
             return 0.0

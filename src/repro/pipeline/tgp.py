@@ -17,8 +17,9 @@ decode-phase utilisation drops below one.
 
 from __future__ import annotations
 
-from ..workload.requests import Sequence
-from .engine import PipelineEngine
+import numpy as np
+
+from .engine import PipelineEngine, PrefillSegments
 
 
 class TokenGrainedPipeline(PipelineEngine):
@@ -28,15 +29,13 @@ class TokenGrainedPipeline(PipelineEngine):
 
     def epoch_utilization(
         self,
-        prefill_segments: list[tuple[Sequence, int]],
+        prefill_segments: PrefillSegments,
         decode_sequences: int,
     ) -> float:
-        in_flight = 0.0
-        for sequence, count in prefill_segments:
-            # A prefilling sequence keeps streaming into the pipeline beyond
-            # this epoch's chunk, so its in-flight contribution is bounded by
-            # the pipeline depth, not by the chunk size.
-            in_flight += min(self.depth, count + sequence.remaining_prefill)
+        # A prefilling sequence keeps streaming into the pipeline beyond
+        # this epoch's chunk, so its in-flight contribution is bounded by
+        # the pipeline depth, not by the chunk size.  Integer sums: exact.
+        in_flight = int(np.minimum(self.depth, prefill_segments.streams).sum())
         in_flight += decode_sequences
         if in_flight <= 0:
             return 0.0

@@ -273,33 +273,6 @@ class Sequence:
             remaining -= step
         return segments
 
-    def apply_advance(self, prefill_tokens: int, decode_tokens: int) -> None:
-        """Apply a bulk advance whose phase split was computed externally.
-
-        The array-based epoch engine derives ``prefill_tokens`` /
-        ``decode_tokens`` for every active sequence with vectorised min/max
-        operations (``prefill = min(budget, remaining_prefill)``; ``decode =
-        min(budget - prefill, remaining_decode)``) and commits them here.  The
-        phase transitions are identical to :meth:`advance_tokens` walking the
-        same counts.
-        """
-        if self.phase not in (SequencePhase.PREFILL, SequencePhase.DECODE):
-            raise SchedulingError(
-                f"sequence {self.sequence_id} cannot advance from phase {self.phase}"
-            )
-        if prefill_tokens > 0:
-            self.prefill_progress += prefill_tokens
-            if self.remaining_prefill <= 0:
-                self.phase = (
-                    SequencePhase.DECODE
-                    if self.remaining_decode > 0
-                    else SequencePhase.COMPLETE
-                )
-        if decode_tokens > 0:
-            self.decode_progress += decode_tokens
-            if self.remaining_decode <= 0:
-                self.phase = SequencePhase.COMPLETE
-
     def evict(self) -> int:
         """Evict the sequence; its cached prefix must be recomputed on re-entry.
 

@@ -31,7 +31,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Protocol
 
+import numpy as np
+import numpy.typing as npt
+
 from ..errors import ConfigurationError, SchedulingError
+from .active_rows import ActiveRows
 from .policies import SchedulingPolicy, make_policy
 from .requests import Request, Sequence, SequencePhase
 
@@ -52,6 +56,16 @@ class KVCapacityProvider(Protocol):
 
     def append_tokens(self, sequence: Sequence, count: int = 1) -> bool:
         """Reserve KV space for ``count`` more tokens; return False if full."""
+        ...
+
+    def grow_batch(
+        self,
+        sequences: list[Sequence],
+        takes: npt.NDArray[np.int64],
+        completing: npt.NDArray[np.bool_],
+    ) -> bool:
+        """All-or-nothing :meth:`append_tokens` for a whole batch; return
+        False, with nothing changed, unless no growth could fail."""
         ...
 
 
@@ -116,6 +130,9 @@ class InterSequenceScheduler:
             self.policy = make_policy(self.policy)
         self._active: list[Sequence] = []  # in admission order (oldest first)
         self._active_ids: set[int] = set()  # O(1) membership mirror of _active
+        #: integer state of ``_active``, column for column (the engine's
+        #: epoch planner and vectorised advance work on it)
+        self.rows = ActiveRows()
         self._completed: list[Sequence] = []
         #: set when an eviction happened; cleared when a request completes
         self._admission_suspended = False
@@ -315,6 +332,7 @@ class InterSequenceScheduler:
         for index in range(len(self._active) - 1, -1, -1):
             if self._active[index] is sequence:
                 del self._active[index]
+                self.rows.delete(index)
                 break
         self._active_ids.discard(sequence.sequence_id)
 
@@ -395,6 +413,7 @@ class InterSequenceScheduler:
             self.policy.pop(candidate, time)
             candidate.start(time)
             self._active.append(candidate)
+            self.rows.append(candidate)
             self._active_ids.add(candidate.sequence_id)
             self.stats.admitted += 1
             # The id can never be re-blocked without an eviction (which
@@ -556,6 +575,23 @@ class InterSequenceScheduler:
 
     # ------------------------------------------------------------ token growth
 
+    def grow_batch(
+        self,
+        sequences: list[Sequence],
+        takes: npt.NDArray[np.int64],
+        completing: npt.NDArray[np.bool_],
+    ) -> bool:
+        """Grow every active sequence's KV by its take at once, or do nothing.
+
+        The batch form of :meth:`grow_sequence` over the nonzero takes, with
+        each ``completing`` sequence completed right after its growth.  It
+        succeeds only when the KV provider proves no growth in that walk
+        could fail, so no eviction or shed would have happened; otherwise
+        it returns False with nothing changed.  Completing the sequences is
+        the caller's job.
+        """
+        return self.kv_provider.grow_batch(sequences, takes, completing)
+
     def grow_sequence(self, sequence: Sequence, count: int = 1) -> bool:
         """Reserve KV space for the next ``count`` tokens of ``sequence``.
 
@@ -657,6 +693,7 @@ class InterSequenceScheduler:
         """
         self._active = [by_id[seq_id] for seq_id in state["active"]]
         self._active_ids = {sequence.sequence_id for sequence in self._active}
+        self.rows.resync(self._active)
         self._completed = [by_id[seq_id] for seq_id in state["completed"]]
         self._shed = [by_id[seq_id] for seq_id in state["shed"]]
         self._admission_suspended = state["admission_suspended"]

@@ -248,29 +248,28 @@ class TestSerializationChecker:
 
 PARITY_BAD = """
 class Engine:
-    def run(self, scheduler, sequence):
-        scheduler.grow(sequence)
-        sequence.apply_advance(1, 2)
+    def _advance_epoch_fast(self, scheduler, sequence):
+        scheduler.grow_batch([sequence])
         self._split_epochs += 1
 
-    def run_scalar(self, scheduler, sequence):
-        scheduler.grow(sequence)
+    def _advance_epoch_scalar(self, scheduler, sequence):
+        scheduler.grow_sequence(sequence)
         scheduler.complete(sequence)
-        sequence.advance_tokens(3)
 """
 
 PARITY_GOOD = """
 class Engine:
-    def run(self, scheduler, sequence):
-        scheduler.grow(sequence)
+    def _advance_epoch_fast(self, scheduler, sequence):
+        scheduler.grow_batch([sequence])
         scheduler.complete(sequence)
-        sequence.apply_advance(1, 2)
+        scheduler.rows.advance(1, 2)
         self._split_epochs += 1
 
-    def run_scalar(self, scheduler, sequence):
-        scheduler.grow(sequence)
-        scheduler.complete(sequence)
-        sequence.advance_tokens(3)
+    def _advance_epoch_scalar(self, scheduler, sequence):
+        if scheduler.is_active(sequence):
+            scheduler.grow_sequence(sequence)
+            scheduler.complete(sequence)
+        scheduler.rows.resync([sequence])
         self._split_epochs += 1
 """
 
@@ -294,12 +293,27 @@ class TestEngineParityChecker:
         report = self.check(tmp_path, (
             "import numpy as np\n"
             "class Engine:\n"
-            "    def run(self):\n"
+            "    def _advance_epoch_fast(self):\n"
             "        return np.flatnonzero(np.arange(3))\n"
-            "    def run_scalar(self):\n"
+            "    def _advance_epoch_scalar(self):\n"
             "        return np.arange(3)\n"
         ))
         assert report.ok
+
+    def test_call_planted_in_real_advance_flagged(self, tmp_path):
+        """The checker compares the real engine's advance strategies: one
+        side effect planted in the fast path alone is reported."""
+        source = (PACKAGE_ROOT / "pipeline" / "engine.py").read_text()
+        assert self.check(tmp_path, source).ok
+        anchor = "        scheduler.rows.advance(prefill, decode)\n"
+        assert source.count(anchor) == 1
+        planted = source.replace(
+            anchor, anchor + "        scheduler.evict_most_recent()\n"
+        )
+        report = self.check(tmp_path, planted)
+        assert [f.symbol for f in report.findings] == [
+            "PipelineEngine.scheduler.evict_most_recent"
+        ]
 
 
 KNOBS_BAD = """

@@ -1,11 +1,14 @@
 """Equivalence of the array-based epoch engine and the retained scalar loop.
 
 The fast path (:meth:`PipelineEngine.run`) advances all active sequences per
-epoch with flat numpy arrays and accumulates energy per quantized context bin;
-the retained reference (:meth:`PipelineEngine.run_scalar`) walks one sequence
-at a time.  Both share the epoch-closing arithmetic, so every ``RunResult``
-field must match **bit for bit** -- across all three pipeline modes, both KV
-policies, and under eviction pressure.
+epoch with flat numpy arrays, grows their KV in one batch and accumulates
+energy per quantized context bin; the retained reference
+(:meth:`PipelineEngine.run_scalar`) walks one sequence at a time.  Both share
+the epoch-closing arithmetic, so every ``RunResult`` field must match **bit
+for bit** -- across all three pipeline modes, both KV policies, and under
+eviction pressure -- and so must the KV-manager and scheduler counters the
+results do not show (a batched growth that misplaced the peak would not
+change any ``RunResult`` field).
 """
 
 from __future__ import annotations
@@ -68,6 +71,23 @@ def assert_bitwise_equal(fast, scalar):
     assert fast.extra["epochs"] == scalar.extra["epochs"]
 
 
+def assert_state_equal(fast, scalar):
+    """The engines' KV-manager and scheduler counters match exactly.
+
+    Covers, among the rest, ``peak_used_blocks``, ``allocated_blocks``,
+    ``failed_growths`` and ``quota_blocked_growths`` of the dynamic manager
+    and the scheduler's ``evictions``, ``preemptions`` and
+    ``rejected_admissions``.
+    """
+    assert dataclasses.asdict(fast.kv_manager.stats) == dataclasses.asdict(
+        scalar.kv_manager.stats
+    )
+    assert dataclasses.asdict(fast.scheduler.stats) == dataclasses.asdict(
+        scalar.scheduler.stats
+    )
+    assert fast.kv_manager.used_blocks == scalar.kv_manager.used_blocks == 0
+
+
 def mixed_trace(num_requests=10, seed=3, arrival_rate_per_s=0.0):
     spec = WorkloadSpec(
         name="mixed",
@@ -90,6 +110,7 @@ class TestArrayEngineMatchesScalar:
         result_fast = fast.run(make_trace(num_requests=8, prefill=48, decode=16))
         result_scalar = scalar.run_scalar(make_trace(num_requests=8, prefill=48, decode=16))
         assert_bitwise_equal(result_fast, result_scalar)
+        assert_state_equal(fast, scalar)
 
     @pytest.mark.parametrize("engine_cls", ENGINES)
     @pytest.mark.parametrize("kv_policy", KV_POLICIES)
@@ -97,6 +118,7 @@ class TestArrayEngineMatchesScalar:
         fast = build_engine(engine_cls, tiny_arch, small_wafer_config, kv_policy)
         scalar = build_engine(engine_cls, tiny_arch, small_wafer_config, kv_policy)
         assert_bitwise_equal(fast.run(mixed_trace()), scalar.run_scalar(mixed_trace()))
+        assert_state_equal(fast, scalar)
 
     @pytest.mark.parametrize("engine_cls", ENGINES)
     def test_under_eviction_pressure(self, engine_cls, tiny_arch, small_wafer_config):
@@ -109,6 +131,7 @@ class TestArrayEngineMatchesScalar:
         result_scalar = scalar.run_scalar(make_trace(**trace_args))
         assert result_fast.evictions > 0  # the scenario actually thrashes
         assert_bitwise_equal(result_fast, result_scalar)
+        assert_state_equal(fast, scalar)
 
     def test_epoch_records_match(self, tiny_arch, small_wafer_config):
         fast = build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config, "dynamic")
@@ -127,6 +150,53 @@ class TestArrayEngineMatchesScalar:
         assert result_fast.output_tokens == 0
         assert result_fast.ttft.count == 0  # no output tokens -> no TTFT samples
         assert_bitwise_equal(result_fast, result_scalar)
+        assert_state_equal(fast, scalar)
+
+
+def count_sequential_growths(engine):
+    """Wrap the engine's per-sequence growth; returns the call counter."""
+    calls = []
+    grow = engine.scheduler.grow_sequence
+
+    def counting(sequence, count=1):
+        calls.append(sequence.sequence_id)
+        return grow(sequence, count)
+
+    engine.scheduler.grow_sequence = counting
+    return calls
+
+
+class TestBatchGrowthPath:
+    """The fast path grows KV in one batch, and walks only under pressure."""
+
+    @pytest.mark.parametrize("kv_policy", KV_POLICIES)
+    def test_roomy_cache_grows_in_batches(self, kv_policy, tiny_arch, small_wafer_config):
+        engine = build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config, kv_policy)
+        walked = count_sequential_growths(engine)
+        result = engine.run(mixed_trace(arrival_rate_per_s=500.0))
+        assert result.total_tokens > 0
+        assert walked == []
+
+    def test_pressure_falls_back_to_the_ordered_walk(self, tiny_arch, small_wafer_config):
+        kwargs = dict(blocks_per_core=2, kv_cores=24, chunk=64)
+        engine = build_engine(
+            TokenGrainedPipeline, tiny_arch, small_wafer_config, "dynamic", **kwargs
+        )
+        walked = count_sequential_growths(engine)
+        batched = []
+        grow_batch = engine.scheduler.grow_batch
+
+        def counting(sequences, takes, completing):
+            accepted = grow_batch(sequences, takes, completing)
+            batched.append(accepted)
+            return accepted
+
+        engine.scheduler.grow_batch = counting
+        result = engine.run(make_trace(num_requests=6, prefill=300, decode=64))
+        assert result.evictions > 0
+        assert walked
+        # Not every epoch is under pressure: some still grow in one batch.
+        assert True in batched and False in batched
 
 
 class TestOpenLoopEquivalence:
@@ -148,6 +218,7 @@ class TestOpenLoopEquivalence:
         assert result_fast.ttft.count > 0
         assert result_fast.latency.p99_s > 0
         assert_bitwise_equal(result_fast, result_scalar)
+        assert_state_equal(fast, scalar)
 
     def test_arrival_driven_under_eviction_pressure(self, tiny_arch, small_wafer_config):
         kwargs = dict(blocks_per_core=2, kv_cores=24, chunk=64)
@@ -168,6 +239,7 @@ class TestOpenLoopEquivalence:
         result_scalar = scalar.run_scalar(TraceGenerator(spec).generate())
         assert result_fast.evictions > 0  # the scenario actually thrashes
         assert_bitwise_equal(result_fast, result_scalar)
+        assert_state_equal(fast, scalar)
 
     def test_zero_rate_reduces_to_batch(self, tiny_arch, small_wafer_config):
         """arrival_rate_per_s == 0 is the regression anchor: identical to batch."""
@@ -232,6 +304,7 @@ class TestSubEpochSplitEquivalence:
         assert result_fast.extra["split_epochs"] > 0  # the scenario splits
         assert result_fast.extra["split_epochs"] == result_scalar.extra["split_epochs"]
         assert_bitwise_equal(result_fast, result_scalar)
+        assert_state_equal(fast, scalar)
 
     @pytest.mark.parametrize("engine_cls", ENGINES)
     def test_mid_epoch_arrivals_under_eviction_pressure(
@@ -265,6 +338,7 @@ class TestSubEpochSplitEquivalence:
         assert result_fast.evictions > 0  # the scenario actually thrashes
         assert result_fast.extra["split_epochs"] > 0  # and actually splits
         assert_bitwise_equal(result_fast, result_scalar)
+        assert_state_equal(fast, scalar)
 
     def test_multi_tenant_trace_equivalence(self, tiny_arch, small_wafer_config):
         """Per-tenant stats and goodput are part of the bitwise contract."""
@@ -283,6 +357,7 @@ class TestSubEpochSplitEquivalence:
         result_fast = fast.run(generate_multi_tenant_trace(tenants, seed=3, slo=slo))
         result_scalar = scalar.run_scalar(generate_multi_tenant_trace(tenants, seed=3, slo=slo))
         assert_bitwise_equal(result_fast, result_scalar)
+        assert_state_equal(fast, scalar)
         assert result_fast.goodput == result_scalar.goodput
         assert set(result_fast.tenants) == {"a", "b"}
         for name in result_fast.tenants:
@@ -327,6 +402,7 @@ class TestPolicyEquivalence:
         result_fast = fast.run(self._policy_trace())
         result_scalar = scalar.run_scalar(self._policy_trace())
         assert_bitwise_equal(result_fast, result_scalar)
+        assert_state_equal(fast, scalar)
         assert result_fast.goodput == result_scalar.goodput
         for name in result_fast.tenants:
             assert (
@@ -358,6 +434,7 @@ class TestPolicyEquivalence:
         assert result_fast.evictions > 0  # the scenario actually thrashes
         assert result_fast.extra["split_epochs"] > 0  # and actually splits
         assert_bitwise_equal(result_fast, result_scalar)
+        assert_state_equal(fast, scalar)
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("quota", [0.25, 0.5])
@@ -396,6 +473,7 @@ class TestPolicyEquivalence:
             == scalar.kv_manager.stats.quota_blocked_growths
         )
         assert_bitwise_equal(result_fast, result_scalar)
+        assert_state_equal(fast, scalar)
         for name in result_fast.tenants:
             assert (
                 result_fast.tenants[name].as_dict()
@@ -465,6 +543,7 @@ class TestPreemptionEquivalence:
         result_scalar = scalar.run_scalar(self._staggered_trace())
         assert self._preemptions(result_fast) > 0  # the scenario actually preempts
         assert_bitwise_equal(result_fast, result_scalar)
+        assert_state_equal(fast, scalar)
         for name in result_fast.tenants:
             assert (
                 result_fast.tenants[name].as_dict()
@@ -502,6 +581,7 @@ class TestPreemptionEquivalence:
         result_scalar = scalar.run_scalar(self._staggered_trace(batch_quota=quota))
         assert self._preemptions(result_fast) > 0
         assert_bitwise_equal(result_fast, result_scalar)
+        assert_state_equal(fast, scalar)
         for name in result_fast.tenants:
             assert (
                 result_fast.tenants[name].as_dict()

@@ -46,6 +46,13 @@ class TestCaching:
         assert len(engine._energy_cache) == 2
 
 
+def plan_for(engine, seq):
+    """Plan one epoch with ``seq`` as the only active sequence (the planner
+    reads the scheduler's active rows)."""
+    engine.scheduler.rows.resync([seq])
+    return engine._plan_epoch([seq], 0.0)
+
+
 class TestEpochPlanBudgets:
     """Per-sequence budget derivation of the shared epoch planner."""
 
@@ -53,10 +60,10 @@ class TestEpochPlanBudgets:
         engine = make_engine(tiny_arch, small_wafer_config, chunk=16)
         seq = Sequence(Request(request_id=0, prefill_length=100, decode_length=10))
         seq.start()
-        plan = engine._plan_epoch([seq], 0.0)
-        assert plan.budgets == [16]
-        assert plan.prefill_takes == [16]
-        assert plan.decode_takes == [0]
+        plan = plan_for(engine, seq)
+        assert plan.budgets.tolist() == [16]
+        assert plan.prefill_takes.tolist() == [16]
+        assert plan.decode_takes.tolist() == [0]
 
     def test_decode_budget_caps_at_remaining(self, tiny_arch, small_wafer_config):
         engine = make_engine(tiny_arch, small_wafer_config, chunk=64)
@@ -64,17 +71,17 @@ class TestEpochPlanBudgets:
         seq.start()
         seq.advance_tokens(4)
         assert seq.phase is SequencePhase.DECODE
-        plan = engine._plan_epoch([seq], 0.0)
-        assert plan.budgets == [10]
-        assert plan.decode_takes == [10]
+        plan = plan_for(engine, seq)
+        assert plan.budgets.tolist() == [10]
+        assert plan.decode_takes.tolist() == [10]
 
     def test_complete_sequence_budget_zero(self, tiny_arch, small_wafer_config):
         engine = make_engine(tiny_arch, small_wafer_config)
         seq = Sequence(Request(request_id=0, prefill_length=2, decode_length=0))
         seq.start()
         seq.advance_tokens(2)
-        plan = engine._plan_epoch([seq], 0.0)
-        assert plan.budgets == [0]
+        plan = plan_for(engine, seq)
+        assert plan.budgets.tolist() == [0]
         assert plan.split is False
 
 

@@ -1,11 +1,12 @@
 """Tests for the KV-cache primitives: free-block table, bitmap, page table."""
 
+import numpy as np
 import pytest
 
 from repro.errors import KVCacheError
 from repro.kvcache.bitmap import OccupancyBitmap
 from repro.kvcache.blocks import FreeBlockTable, tokens_per_block
-from repro.kvcache.pagetable import HeadPlacement, PageTable
+from repro.kvcache.pagetable import HeadPlacement, PageTableStore
 
 
 class TestTokensPerBlock:
@@ -131,37 +132,37 @@ class TestOccupancyBitmap:
 
 
 class TestPageTable:
-    def placements(self) -> list[HeadPlacement]:
-        return [HeadPlacement(head=h, k_core=10 + h, v_core=20 + h) for h in range(4)]
+    def store_with_entry(self):
+        store = PageTableStore(num_blocks=1)
+        store.register(1, np.asarray([[10, 11, 12, 13], [20, 21, 22, 23]]))
+        return store, store.tables()[0]
 
     def test_register_and_lookup(self):
-        table = PageTable(block_index=0)
-        table.register(1, self.placements())
-        assert len(table.lookup(1)) == 4
+        _, table = self.store_with_entry()
+        assert table.lookup(1) == [
+            HeadPlacement(head=h, k_core=10 + h, v_core=20 + h) for h in range(4)
+        ]
         assert table.contains(1)
         assert len(table) == 1
 
     def test_double_register_rejected(self):
-        table = PageTable(block_index=0)
-        table.register(1, self.placements())
+        store, _ = self.store_with_entry()
         with pytest.raises(KVCacheError):
-            table.register(1, self.placements())
+            store.register(1, np.zeros((2, 4), dtype=np.int64))
 
     def test_lookup_missing_rejected(self):
-        table = PageTable(block_index=0)
+        _, table = self.store_with_entry()
         with pytest.raises(KVCacheError):
             table.lookup(42)
 
     def test_cores_of(self):
-        table = PageTable(block_index=0)
-        table.register(1, self.placements())
+        _, table = self.store_with_entry()
         cores = table.cores_of(1)
         assert cores == sorted({10, 11, 12, 13, 20, 21, 22, 23})
 
     def test_remove_idempotent(self):
-        table = PageTable(block_index=0)
-        table.register(1, self.placements())
-        table.remove(1)
-        table.remove(1)
+        store, table = self.store_with_entry()
+        store.remove(1)
+        store.remove(1)
         assert not table.contains(1)
         assert table.resident_sequences == []

@@ -4,13 +4,15 @@ import pytest
 
 from repro.kvcache.manager import DistributedKVCacheManager
 from repro.pipeline.blocked import BlockedTokenGrainedPipeline
-from repro.pipeline.engine import PipelineConfig
+from repro.pipeline.engine import PipelineConfig, PrefillSegments
 from repro.pipeline.sequence_grained import SequenceGrainedPipeline
 from repro.pipeline.stages import TokenCostModel
 from repro.pipeline.tgp import TokenGrainedPipeline
 from repro.workload.requests import Request, Sequence
 
 from .conftest import make_trace
+
+NO_PREFILL = PrefillSegments.from_pairs([])
 
 
 def build_engine(engine_cls, arch, wafer_config, kv_cores=48, blocks_per_core=256, **kwargs):
@@ -127,23 +129,27 @@ class TestUtilizationModels:
     def test_tgp_utilization_saturates(self, tiny_arch, small_wafer_config):
         engine = build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config)
         seq = self.seg(prefill=1000, decode=0)
-        utilization = engine.epoch_utilization([(seq, 32)], decode_sequences=0)
+        utilization = engine.epoch_utilization(
+            PrefillSegments.from_pairs([(seq, 32)]), decode_sequences=0
+        )
         assert utilization == pytest.approx(1.0)
 
     def test_tgp_decode_only_utilization(self, tiny_arch, small_wafer_config):
         engine = build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config)
-        utilization = engine.epoch_utilization([], decode_sequences=3)
+        utilization = engine.epoch_utilization(NO_PREFILL, decode_sequences=3)
         assert utilization == pytest.approx(3 / engine.depth)
 
     def test_tgp_zero_work(self, tiny_arch, small_wafer_config):
         engine = build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config)
-        assert engine.epoch_utilization([], 0) == 0.0
+        assert engine.epoch_utilization(NO_PREFILL, 0) == 0.0
 
     def test_sequence_grained_penalised_by_imbalance(self, tiny_arch, small_wafer_config):
         engine = build_engine(SequenceGrainedPipeline, tiny_arch, small_wafer_config)
-        balanced = engine.epoch_utilization([], decode_sequences=8)
+        balanced = engine.epoch_utilization(NO_PREFILL, decode_sequences=8)
         seq = self.seg(prefill=500, decode=0)
-        mixed = engine.epoch_utilization([(seq, 32)], decode_sequences=7)
+        mixed = engine.epoch_utilization(
+            PrefillSegments.from_pairs([(seq, 32)]), decode_sequences=7
+        )
         assert mixed < balanced
 
     def test_blocked_penalises_longer_new_sequences(self, tiny_arch, small_wafer_config):
@@ -155,7 +161,11 @@ class TestUtilizationModels:
             encoder_blocks=tiny_arch.num_blocks,
         )
         engine = build_engine(BlockedTokenGrainedPipeline, encoder_arch, small_wafer_config)
-        first = engine.epoch_utilization([(self.seg(prefill=64), 32)], 0)
+        first = engine.epoch_utilization(
+            PrefillSegments.from_pairs([(self.seg(prefill=64), 32)]), 0
+        )
         # A second, longer sequence introduces a partitioning bubble.
-        second = engine.epoch_utilization([(self.seg(prefill=128), 32)], 0)
+        second = engine.epoch_utilization(
+            PrefillSegments.from_pairs([(self.seg(prefill=128), 32)]), 0
+        )
         assert second <= first

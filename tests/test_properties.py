@@ -1,7 +1,9 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import copy
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +13,7 @@ from repro.hardware.htree import LeafAssignment, assignment_cost
 from repro.hardware.yieldmodel import murphy_yield
 from repro.kvcache.blocks import FreeBlockTable, tokens_per_block
 from repro.kvcache.manager import DistributedKVCacheManager
+from repro.kvcache.static import StaticKVCacheManager
 from repro.models.architectures import ModelArch
 from repro.results import EnergyBreakdown
 from repro.workload.distributions import WikiTextLikeDistribution
@@ -203,6 +206,114 @@ def test_kv_manager_block_conservation(ops):
         assert 0 <= manager.used_blocks <= manager.total_blocks
         held = sum(manager.blocks_held(sid) for sid in sequences)
         assert held == manager.used_blocks
+
+
+@st.composite
+def resident_batches(draw):
+    """A KV manager with a random resident set, plus one epoch's growth.
+
+    Covers both managers, tenant quotas (one tenant capped, sometimes
+    tightly), near-full caches (few blocks per core, pre-grown residents)
+    and failed cores.  Returns ``(manager, sequences, takes, completing)``.
+    """
+    arch = ModelArch(
+        name="prop", num_blocks=draw(st.integers(1, 2)), hidden_size=256,
+        num_heads=4, ffn_hidden_size=512, vocab_size=1000, max_context=512,
+    )
+    num_cores = draw(st.integers(4, 24))
+    blocks_per_core = draw(st.sampled_from([1, 2, 4, 8, 32, 64]))
+    if draw(st.booleans()):
+        manager = StaticKVCacheManager(
+            arch, kv_core_ids=num_cores, blocks_per_core=blocks_per_core * 8,
+            reserved_context=draw(st.integers(64, 512)),
+        )
+    else:
+        manager = DistributedKVCacheManager(
+            arch, kv_core_ids=list(range(num_cores)), blocks_per_core=blocks_per_core
+        )
+    if draw(st.booleans()):
+        manager.set_tenant_quotas({"capped": draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))})
+    per_block = manager.tokens_per_block
+    sequences = []
+    for seq_id in range(draw(st.integers(0, 8))):
+        sequence = Sequence(Request(
+            request_id=seq_id, prefill_length=2048, decode_length=0,
+            tenant=draw(st.sampled_from(["capped", "free"])),
+        ))
+        sequence.start()
+        if not manager.try_admit(sequence):
+            continue
+        grown = draw(st.integers(0, 3 * per_block))
+        if manager.append_tokens(sequence, grown):
+            sequence.advance_tokens(grown)
+        sequences.append(sequence)
+    if isinstance(manager, DistributedKVCacheManager) and draw(st.integers(0, 4)) == 0:
+        manager.fail_core(manager.kv_core_ids[draw(st.integers(0, num_cores - 1))])
+    count = len(sequences)
+    takes = np.asarray(
+        draw(st.lists(st.integers(0, 2 * per_block), min_size=count, max_size=count)),
+        dtype=np.int64,
+    )
+    completing = np.asarray(
+        draw(st.lists(st.booleans(), min_size=count, max_size=count)), dtype=bool
+    )
+    return manager, sequences, takes, completing
+
+
+def kv_state(manager):
+    return manager.snapshot_state(), manager.last_failure_quota_bound
+
+
+@given(batch=resident_batches())
+@settings(max_examples=150, deadline=None)
+def test_grow_batch_equals_sequential_walk_or_declines(batch):
+    """``grow_batch`` either leaves exactly the state of the ordered
+    ``append_tokens`` walk (each completing row released right after its
+    growth) or declines and changes nothing."""
+    manager, sequences, takes, completing = batch
+    before = kv_state(manager)
+
+    walked = copy.deepcopy(manager)
+    walk_ok = []
+    for sequence, take, done in zip(sequences, takes.tolist(), completing.tolist()):
+        if take <= 0:
+            continue
+        walk_ok.append(walked.append_tokens(sequence, take))
+        if done:
+            walked.release(sequence)
+
+    batched = copy.deepcopy(manager)
+    if batched.grow_batch(sequences, takes, completing):
+        assert all(walk_ok)
+        for sequence, take, done in zip(sequences, takes.tolist(), completing.tolist()):
+            if take > 0 and done:
+                batched.release(sequence)
+        assert kv_state(batched) == kv_state(walked)
+    else:
+        assert kv_state(batched) == before
+        if isinstance(manager, StaticKVCacheManager):
+            # The static condition is exact, not merely sufficient.
+            assert not all(walk_ok)
+
+
+def test_grow_batch_accepts_a_roomy_cache():
+    """With room to spare the batch path is taken (and allocates)."""
+    arch = ModelArch(
+        name="prop", num_blocks=2, hidden_size=256, num_heads=4, ffn_hidden_size=512,
+        vocab_size=1000, max_context=512,
+    )
+    manager = DistributedKVCacheManager(arch, kv_core_ids=list(range(16)), blocks_per_core=64)
+    sequences = []
+    for seq_id in range(4):
+        sequence = Sequence(Request(request_id=seq_id, prefill_length=64, decode_length=8))
+        sequence.start()
+        assert manager.try_admit(sequence)
+        sequences.append(sequence)
+    takes = np.full(4, manager.tokens_per_block + 1, dtype=np.int64)
+    before = manager.stats.allocated_blocks
+    assert manager.grow_batch(sequences, takes, np.zeros(4, dtype=bool))
+    assert manager.stats.allocated_blocks > before
+    assert manager.stats.peak_used_blocks == manager.used_blocks
 
 
 # ---------------------------------------------------------------------------

@@ -680,3 +680,46 @@ class TestPolicyNameNormalisation:
         assert PipelineConfig(scheduling_policy="WFQ") == PipelineConfig(
             scheduling_policy="wfq"
         )
+
+
+class TestActiveRows:
+    """The scheduler's array state mirrors its active list column for column."""
+
+    @staticmethod
+    def assert_rows_match(scheduler):
+        fresh = InterSequenceScheduler(FakeKVProvider(capacity=0))
+        fresh.rows.resync(scheduler.active)
+        assert scheduler.rows.state().tolist() == fresh.rows.state().tolist()
+        assert scheduler.rows.size == scheduler.num_active
+
+    def test_rows_follow_admission_eviction_and_completion(self):
+        scheduler = InterSequenceScheduler(FakeKVProvider(capacity=3, token_capacity=40))
+        scheduler.submit_all(requests(6, prefill=8, decode=4))
+        scheduler.fill()
+        self.assert_rows_match(scheduler)
+        # Advance the sequences like an epoch would, keeping the rows in step.
+        for sequence in scheduler.active:
+            assert scheduler.grow_sequence(sequence, 10)
+            sequence.advance_tokens(10)
+        scheduler.rows.resync(scheduler.active)
+        first = scheduler.active[0]
+        # Growth past the token capacity evicts the most recent admission.
+        assert scheduler.grow_sequence(first, 12)
+        assert scheduler.stats.evictions > 0
+        self.assert_rows_match(scheduler)
+        first.advance_tokens(12)
+        scheduler.rows.resync(scheduler.active)
+        scheduler.complete(first, 1.0)
+        self.assert_rows_match(scheduler)
+        scheduler.fill(1.0)  # the eviction suspension lifted on completion
+        self.assert_rows_match(scheduler)
+        assert scheduler.rows.state()[0].tolist() == [
+            sequence.remaining_prefill for sequence in scheduler.active
+        ]
+
+    def test_rows_grow_past_their_initial_capacity(self):
+        scheduler = InterSequenceScheduler(FakeKVProvider(capacity=200))
+        scheduler.submit_all(requests(150))
+        scheduler.fill()
+        assert scheduler.num_active == 150
+        self.assert_rows_match(scheduler)
