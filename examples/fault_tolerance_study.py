@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Fault-tolerance study: inject core failures and observe the recovery.
 
-Builds an Ouroboros deployment of LLaMA-13B through the fluent spec API, then
-injects a series of runtime core failures.  For weight-core failures the
-replacement-chain remapping is reported (chain length, reclaimed KV core,
-recovery latency); for KV-core failures the set of sequences needing
-recomputation is reported.  Finally the script compares serving throughput
-before and after the failures to show that the degradation is bounded by the
-lost KV capacity rather than by a remap of the whole wafer.
+Builds an Ouroboros deployment of LLaMA-13B through the fluent spec API and
+draws a series of weight-core / KV-core failures.  Each failure is first
+replayed on a standalone fault-tolerance manager to report the recovery:
+for weight-core failures the replacement-chain remapping (chain length,
+reclaimed KV core, recovery latency); for KV-core failures the set of
+sequences needing recomputation.  The same failures are then injected at
+t=0 into a serving run through ``DeploymentSpec.faults``, and the script
+compares throughput before and after them: the degradation is bounded by
+the lost KV capacity and the recomputation, not by a remap of the whole
+wafer.  The script asserts that the degraded run is slower than the
+healthy one.
 
 Run:  python examples/fault_tolerance_study.py [num_failures]
 """
@@ -21,6 +25,7 @@ import sys
 from repro import api, deployment
 from repro.kvcache.manager import DistributedKVCacheManager
 from repro.mapping.fault_tolerance import FaultToleranceManager
+from repro.sim.faults import FaultEvent, FaultPlan
 from repro.workload.requests import Request, Sequence
 
 
@@ -31,8 +36,7 @@ def main(num_failures: int = 6) -> None:
         .workload("lp128_ld2048", num_requests=60)
         .build()
     )
-    system = api.build_deployment(spec)
-    built = system.built
+    built = api.build_deployment(spec).built
     mapping = built.mappings[0]
     wafer = built.wafers[0]
     print(f"Deployment: {built.num_weight_cores} weight cores, "
@@ -47,53 +51,43 @@ def main(num_failures: int = 6) -> None:
         kv_manager.try_admit(sequence)
         kv_manager.append_tokens(sequence, 512)
 
-    ft = FaultToleranceManager(wafer, mapping, kv_manager=kv_manager)
+    # Alternate weight-core and KV-core failures, all at t=0.  A fault
+    # event's target is an index into the currently healthy cores of its
+    # kind, which is how the runtime injector resolves it.
     rng = random.Random(0)
-    weight_cores = sorted(ft.weight_cores)
-    kv_cores = sorted(ft.kv_cores)
+    events = tuple(
+        FaultEvent(time_s=0.0, kind="weight_core" if i % 2 == 0 else "kv_core",
+                   target=rng.randrange(1 << 16))
+        for i in range(num_failures)
+    )
 
+    ft = FaultToleranceManager(wafer, mapping, kv_manager=kv_manager)
     print(f"Injecting {num_failures} runtime core failures:")
-    for i in range(num_failures):
-        if i % 2 == 0:
-            core = rng.choice(weight_cores)
-            weight_cores.remove(core)
+    for event in events:
+        if event.kind == "weight_core":
+            healthy = sorted(ft.weight_cores)
         else:
-            core = rng.choice(kv_cores)
-            kv_cores.remove(core)
+            failed = kv_manager.failed_cores
+            healthy = [c for c in kv_manager.kv_core_ids if c not in failed]
+        core = healthy[event.target % len(healthy)]
         result = ft.fail_core(core)
-        kind = "weight" if result.reclaimed_kv_core is not None else "kv"
+        kind = "weight" if event.kind == "weight_core" else "kv"
         print(f"  core {core:>5} ({kind:>6}): chain length {result.chain_length}, "
               f"reclaimed KV core {result.reclaimed_kv_core}, "
               f"{len(result.affected_sequences)} sequences to recompute, "
               f"recovery {result.recovery_latency_s * 1e6:.1f} us")
 
     print("\nServing impact (same trace before/after failures):")
-    trace = api.trace_for(spec)
-    healthy_result = system.serve(api.trace_for(spec), workload_name=spec.label())
-
-    # Rebuild the system with the failed cores marked defective to measure the
-    # post-recovery steady state.  The degraded wafer is swapped in by hand
-    # because runtime failures are not a spec-addressable configuration.
-    from repro.hardware.wafer import Wafer as WaferClass
-    from repro.hardware.yieldmodel import DefectMap
-
-    failed = frozenset(ft.failed_cores)
-    base_map = built.defect_maps[0]
-    combined = failed | (base_map.defective_cores if base_map else frozenset())
-    degraded_map = DefectMap(
-        defective_cores=combined,
-        core_yield=base_map.core_yield if base_map else 1.0,
-        total_cores=wafer.num_cores,
-    )
-    degraded_config = dataclasses.replace(spec.config, model_defects=False)
-    degraded_spec = dataclasses.replace(spec, config=degraded_config)
-    degraded_built = api.build_deployment(degraded_spec, cache=False).built
-    degraded_built.wafers[0] = WaferClass(spec.config.wafer, defect_map=degraded_map)
-    degraded_result = degraded_built.serve(trace)
-
-    print(f"  before failures: {healthy_result.throughput_tokens_per_s:,.0f} tokens/s")
-    print(f"  after  failures: {degraded_result.throughput_tokens_per_s:,.0f} tokens/s "
-          f"({degraded_result.throughput_tokens_per_s / healthy_result.throughput_tokens_per_s:.1%} of healthy)")
+    healthy_result = api.serve(spec)
+    degraded_result = api.serve(dataclasses.replace(spec, faults=FaultPlan(events)))
+    healthy_tps = healthy_result.throughput_tokens_per_s
+    degraded_tps = degraded_result.throughput_tokens_per_s
+    faults = degraded_result.faults
+    print(f"  before failures: {healthy_tps:,.0f} tokens/s")
+    print(f"  after  failures: {degraded_tps:,.0f} tokens/s "
+          f"({degraded_tps / healthy_tps:.1%} of healthy; "
+          f"{faults.recovered_sequences} sequences recomputed)")
+    assert degraded_tps < healthy_tps, "core failures did not degrade throughput"
 
 
 if __name__ == "__main__":

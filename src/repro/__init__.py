@@ -39,8 +39,6 @@ from .sim.engine import (
     MappingStrategy,
     OuroborosSystemConfig,
     PipelineMode,
-    build_system,
-    default_system_config,
     required_wafers,
 )
 from .workload.generator import PAPER_WORKLOADS, Trace, generate_trace, make_workload
@@ -68,8 +66,6 @@ __all__ = [
     "PipelineMode",
     "KVPolicy",
     "MappingStrategy",
-    "build_system",
-    "default_system_config",
     "required_wafers",
     "ModelArch",
     "AttentionMask",

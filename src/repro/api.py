@@ -54,7 +54,6 @@ from .sim.engine import (
     MappingStrategy,
     OuroborosSystemConfig,
     PipelineMode,
-    default_system_config,
 )
 from .sim.faults import FaultPlan, make_fault_plan
 from .workload.distributions import get_distribution
@@ -113,12 +112,22 @@ class SystemEntry:
     #: label used in result tables and the Fig. 13/14 comparison grids
     display_name: str
     factory: Callable[[ModelArch, "DeploymentSpec"], ServingSystem]
-    #: whether the system honours per-request arrival times (open-loop serving)
-    supports_arrival: bool = False
     #: part of the paper's main Fig. 13/14/16/19 baseline comparison
     in_comparison_grid: bool = False
     #: implementing class (for introspection / registry-completeness tests)
     system_cls: type | None = None
+
+    @property
+    def simulated(self) -> bool:
+        """Whether the system has a simulated runtime (Ouroboros family).
+
+        Only a simulated runtime honours per-request arrival times, runtime
+        faults, checkpoint/resume, streaming traces and live (daemon)
+        serving; the analytical baselines consume a whole closed batch.
+        """
+        return self.system_cls is not None and issubclass(
+            self.system_cls, OuroborosSystem
+        )
 
 
 SYSTEM_REGISTRY: dict[str, SystemEntry] = {}
@@ -158,7 +167,6 @@ register_system(SystemEntry(
     factory=lambda arch, spec: OuroborosSystem(
         arch, spec.config, auto_scale_wafers=spec.auto_scale_wafers
     ),
-    supports_arrival=True,
     system_cls=OuroborosSystem,
 ))
 register_system(SystemEntry(
@@ -319,7 +327,7 @@ class DeploymentSpec:
     model: str
     system: str = "ouroboros"
     #: knobs of the Ouroboros family (ignored by the analytical baselines)
-    config: OuroborosSystemConfig = field(default_factory=default_system_config)
+    config: OuroborosSystemConfig = field(default_factory=OuroborosSystemConfig)
     #: knobs of the analytical baselines (ignored by Ouroboros)
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
     #: per-system structural options (e.g. ``{"num_gpus": 4}`` for dgx-a100)
@@ -381,17 +389,14 @@ class DeploymentSpec:
         open_loop = self.arrival_rate_per_s > 0 or any(
             tenant.arrival_rate_per_s > 0 for tenant in self.tenants
         )
-        if open_loop and not entry.supports_arrival:
+        if open_loop and not entry.simulated:
             raise ConfigurationError(
                 f"{entry.display_name} is an analytic closed-batch comparison "
                 "model and ignores request arrival times; an open-loop "
                 "'speedup' would be a load artifact. Drop the arrival rate or "
                 "pick a system that supports open-loop serving."
             )
-        if self.faults is not None and len(self.faults) and not (
-            entry.system_cls is not None
-            and issubclass(entry.system_cls, OuroborosSystem)
-        ):
+        if self.faults is not None and len(self.faults) and not entry.simulated:
             raise ConfigurationError(
                 f"{entry.display_name} is an analytical comparison model with "
                 "no simulated runtime to inject faults into; fault plans "
@@ -907,15 +912,15 @@ def serve(
     held in memory.
     """
     spec.validate()
+    entry = get_system(spec.system)
     system = build_deployment(spec)
-    is_ouroboros = isinstance(system, OuroborosSystem)
     if streaming is None:
         streaming = (
-            is_ouroboros and total_spec_requests(spec) >= STREAMING_AUTO_THRESHOLD
+            entry.simulated and total_spec_requests(spec) >= STREAMING_AUTO_THRESHOLD
         )
-    elif streaming and not is_ouroboros:
+    elif streaming and not entry.simulated:
         raise ConfigurationError(
-            f"{get_system(spec.system).display_name} is an analytical model "
+            f"{entry.display_name} is an analytical model "
             "that consumes the whole trace at once; streaming traces require "
             "an Ouroboros-family system."
         )
@@ -926,16 +931,16 @@ def serve(
         kwargs["suspend_at_epoch"] = suspend_at_epoch
     if resume_from is not None:
         kwargs["resume_from"] = resume_from
-    if kwargs and not is_ouroboros:
+    if kwargs and not entry.simulated:
         raise ConfigurationError(
-            f"{get_system(spec.system).display_name} does not support fault "
+            f"{entry.display_name} does not support fault "
             "injection or checkpoint/resume; use an Ouroboros-family system."
         )
     trace = stream_for(spec) if streaming else trace_for(spec)
     result = system.serve(trace, workload_name=spec.label(), **kwargs)
     if isinstance(result, EngineCheckpoint):
         return result
-    result.system = get_system(spec.system).display_name
+    result.system = entry.display_name
     return result
 
 

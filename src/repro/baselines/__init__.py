@@ -14,12 +14,7 @@ from .cim_cores import (
 )
 from .common import BaselineConfig, BaselineHardware, BaselineSystem
 from .gpu import DGXA100System, dgx_a100_hardware
-from .multi_die import (
-    ABLATION_STEPS,
-    ablation_config,
-    ablation_system,
-    multi_die_baseline,
-)
+from .multi_die import ABLATION_STEPS, ablation_config
 from .tpu import TPUv4System, tpu_v4_hardware
 
 __all__ = [
@@ -44,6 +39,4 @@ __all__ = [
     "ALL_DESIGNS",
     "ABLATION_STEPS",
     "ablation_config",
-    "ablation_system",
-    "multi_die_baseline",
 ]

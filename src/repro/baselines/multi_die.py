@@ -7,17 +7,16 @@ reads weights out of SRAM instead of computing in memory, ignores placement
 locality, and manages the KV cache statically.  Each "+X" ablation point then
 re-enables one Ouroboros feature on top of this configuration.
 
-This module provides convenience constructors for those configurations so the
-Fig. 15 experiment (and users exploring the design space) can build them in
-one call.
+:func:`ablation_config` returns the system configuration of each step, so the
+Fig. 15 experiment (and users exploring the design space) can build any of
+them with ``OuroborosSystem(arch, ablation_config(step))`` or a
+``DeploymentSpec``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from ..core.system import OuroborosSystem
-from ..models.architectures import ModelArch
 from ..pipeline.engine import PipelineConfig
 from ..sim.engine import (
     KVPolicy,
@@ -55,17 +54,3 @@ def ablation_config(
     if pipeline is not None:
         config = replace(config, pipeline=pipeline)
     return config
-
-
-def multi_die_baseline(
-    arch: ModelArch, pipeline: PipelineConfig | None = None
-) -> OuroborosSystem:
-    """The fully stripped-down baseline system (first bar of Fig. 15)."""
-    return OuroborosSystem(arch, ablation_config("Baseline", pipeline))
-
-
-def ablation_system(
-    arch: ModelArch, step: str, pipeline: PipelineConfig | None = None
-) -> OuroborosSystem:
-    """Build the system corresponding to one ablation step."""
-    return OuroborosSystem(arch, ablation_config(step, pipeline))

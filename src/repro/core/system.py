@@ -1,6 +1,8 @@
 """Public facade of the Ouroboros reproduction.
 
-:class:`OuroborosSystem` is the entry point a downstream user interacts with::
+:class:`OuroborosSystem` is the Ouroboros entry of the system registry; most
+callers reach it through :func:`repro.api.serve` or
+:func:`repro.api.build_deployment`, or hold one directly::
 
     from repro import OuroborosSystem, get_model, generate_trace
 
@@ -9,17 +11,17 @@
     result = system.serve(trace)
     print(result.throughput_tokens_per_s, result.energy_per_output_token_j)
 
-The facade wraps the builder in :mod:`repro.sim.engine`: it samples wafer
-defects, runs the inter-core mapping, sets up the distributed KV-cache manager
-and exposes serving, fault-injection and introspection APIs.
+The facade only resolves the model, grows the wafer count to fit the weights
+(``auto_scale_wafers``) and builds lazily: :attr:`OuroborosSystem.built` is
+the :class:`~repro.sim.engine.BuiltOuroboros` that owns the wafers, mapping,
+KV-cache sizing and the serve paths (batch and live).  Runtime faults go
+through ``DeploymentSpec.faults``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from ..errors import ConfigurationError
-from ..mapping.fault_tolerance import FaultToleranceManager, RemappingResult
 from ..models.architectures import ModelArch, get_model
 from ..results import RunResult
 from ..sim.engine import (
@@ -29,10 +31,9 @@ from ..sim.engine import (
     OuroborosSystemConfig,
     PipelineMode,
     _build_system,
-    default_system_config,
     required_wafers,
 )
-from ..workload.generator import Trace, generate_trace
+from ..workload.generator import Trace
 from ..workload.streams import StreamingTrace
 
 
@@ -46,7 +47,7 @@ class OuroborosSystem:
         auto_scale_wafers: bool = True,
     ) -> None:
         self.arch = get_model(model) if isinstance(model, str) else model
-        config = config if config is not None else default_system_config()
+        config = config if config is not None else OuroborosSystemConfig()
         if auto_scale_wafers:
             needed = required_wafers(self.arch, config)
             if needed > config.num_wafers:
@@ -66,11 +67,6 @@ class OuroborosSystem:
         """The underlying built system (constructed lazily on first use)."""
         if self._built is None:
             self._built = _build_system(self.arch, self.config)
-        return self._built
-
-    def rebuild(self) -> BuiltOuroboros:
-        """Force a rebuild (e.g. after changing defect seeds)."""
-        self._built = _build_system(self.arch, self.config)
         return self._built
 
     # ---------------------------------------------------------------- serving
@@ -98,37 +94,6 @@ class OuroborosSystem:
             resume_from=resume_from,
         )
 
-    def serve_live(
-        self,
-        trace: Trace | StreamingTrace,
-        workload_name: str | None = None,
-        *,
-        arrival_feed,
-        fault_plan=None,
-        resume_from=None,
-        scalar: bool = False,
-    ) -> RunResult:
-        """Serve with live ingestion through an arrival feed (the daemon path).
-
-        ``trace`` starts empty and accumulates requests as the feed releases
-        them; see :meth:`repro.sim.engine.BuiltOuroboros.serve_live`.
-        """
-        return self.built.serve_live(
-            trace,
-            workload_name,
-            arrival_feed=arrival_feed,
-            fault_plan=fault_plan,
-            resume_from=resume_from,
-            scalar=scalar,
-        )
-
-    def serve_workload(
-        self, workload: str, num_requests: int = 1000, seed: int = 0
-    ) -> RunResult:
-        """Generate one of the paper's workloads by name and serve it."""
-        trace = generate_trace(workload, num_requests=num_requests, seed=seed)
-        return self.serve(trace, workload_name=workload)
-
     # ------------------------------------------------------------ introspection
 
     def summary(self) -> dict[str, float]:
@@ -138,33 +103,6 @@ class OuroborosSystem:
     @property
     def num_wafers(self) -> int:
         return self.config.num_wafers
-
-    @property
-    def pipeline_depth(self) -> int:
-        return 6 * self.arch.num_blocks
-
-    def fits_single_wafer(self) -> bool:
-        return required_wafers(self.arch, self.config) == 1
-
-    # ------------------------------------------------------------ fault injection
-
-    def fault_tolerance_manager(self) -> FaultToleranceManager:
-        """Build a fault-tolerance manager bound to wafer 0's mapping."""
-        built = self.built
-        if not built.mappings:
-            raise ConfigurationError("system has no mapping to protect")
-        from ..kvcache.manager import DistributedKVCacheManager
-
-        kv_manager = built.kv_manager
-        if not isinstance(kv_manager, DistributedKVCacheManager):
-            kv_manager = None
-        return FaultToleranceManager(
-            built.wafers[0], built.mappings[0], kv_manager=kv_manager
-        )
-
-    def inject_core_failure(self, core_id: int) -> RemappingResult:
-        """Fail one core of wafer 0 and return the recovery action taken."""
-        return self.fault_tolerance_manager().fail_core(core_id)
 
 
 __all__ = [

@@ -44,7 +44,6 @@ from . import (
     headline,
 )
 from .common import (
-    BASELINE_SYSTEMS,
     DECODER_MODELS,
     DEFAULT_SETTINGS,
     ENCODER_MODELS,
@@ -54,9 +53,7 @@ from .common import (
     FigureResult,
     cell_deployments,
     run_all_systems,
-    run_baseline,
     run_grid,
-    run_ouroboros,
 )
 
 ALL_EXPERIMENTS = {
@@ -85,11 +82,8 @@ __all__ = [
     "DECODER_MODELS",
     "ENCODER_MODELS",
     "PAPER_WORKLOAD_ORDER",
-    "BASELINE_SYSTEMS",
     "OUROBOROS_NAME",
     "cell_deployments",
-    "run_ouroboros",
-    "run_baseline",
     "run_all_systems",
     "run_grid",
     "ALL_EXPERIMENTS",

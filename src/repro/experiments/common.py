@@ -10,20 +10,17 @@ figure.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 from .. import api
 from ..api import DeploymentSpec, comparison_grid_keys, get_system
-from ..baselines.common import BaselineSystem
-from ..core.system import OuroborosSystem
 from ..errors import ConfigurationError
-from ..models.architectures import ModelArch, get_model
+from ..models.architectures import ModelArch
 from ..pipeline.engine import PipelineConfig
 from ..results import RunResult
 from ..sim.engine import OuroborosSystemConfig
 from ..sim.faults import FaultPlan
-from ..workload.generator import TenantSpec, Trace, generate_trace
+from ..workload.generator import TenantSpec
 from ..workload.requests import SLOTarget
 
 #: workloads of the main evaluation figures, in plotting order
@@ -34,13 +31,6 @@ DECODER_MODELS = ("llama-13b", "baichuan-13b", "llama-32b", "qwen-32b")
 
 #: encoder-containing models of Fig. 16
 ENCODER_MODELS = ("bert-large", "t5-11b")
-
-#: compatibility view of the Fig. 13/14 comparison baselines; derived from the
-#: canonical :data:`repro.api.SYSTEM_REGISTRY`, keyed by display name
-BASELINE_SYSTEMS: dict[str, type[BaselineSystem]] = {
-    get_system(key).display_name: get_system(key).system_cls
-    for key in comparison_grid_keys()
-}
 
 OUROBOROS_NAME = "Ours"
 
@@ -106,7 +96,7 @@ class ExperimentSettings:
 
     def system_config(self, **overrides) -> OuroborosSystemConfig:
         config = replace(
-            api.default_system_config(),
+            OuroborosSystemConfig(),
             anneal_iterations=self.anneal_iterations,
             kv_threshold=self.kv_threshold,
             model_defects=self.model_defects,
@@ -150,62 +140,6 @@ DEFAULT_SETTINGS = ExperimentSettings()
 # ---------------------------------------------------------------------------
 # Running systems
 # ---------------------------------------------------------------------------
-
-
-def resolve_model(model: ModelArch | str) -> ModelArch:
-    return get_model(model) if isinstance(model, str) else model
-
-
-def workload_trace(
-    workload: str, settings: ExperimentSettings = DEFAULT_SETTINGS
-) -> Trace:
-    return generate_trace(
-        workload,
-        num_requests=settings.num_requests,
-        seed=settings.seed,
-        arrival_rate_per_s=settings.arrival_rate_per_s,
-    )
-
-
-def run_ouroboros(
-    model: ModelArch | str,
-    workload: str,
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    **config_overrides,
-) -> RunResult:
-    """Deprecated: serve one workload on Ouroboros.
-
-    Thin shim over :func:`repro.api.serve`; results are bitwise-identical.
-    """
-    warnings.warn(
-        "run_ouroboros() is deprecated; use repro.api.serve(settings.deployment(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return api.serve(settings.deployment(model, workload, **config_overrides))
-
-
-def run_baseline(
-    name: str,
-    model: ModelArch | str,
-    workload: str,
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-) -> RunResult | None:
-    """Deprecated: serve one workload on a named baseline.
-
-    Thin shim over :func:`repro.api.serve`.  Returns ``None`` when the
-    baseline cannot deploy the model at all (e.g. the model does not fit the
-    Cerebras WSE-2's SRAM), mirroring missing bars.
-    """
-    warnings.warn(
-        "run_baseline() is deprecated; use repro.api.serve(settings.deployment(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    try:
-        return api.serve(settings.deployment(model, workload, system=name))
-    except ConfigurationError:
-        return None
 
 
 def run_grid(
@@ -253,7 +187,6 @@ def run_all_systems(
     model: ModelArch | str,
     workload: str,
     settings: ExperimentSettings = DEFAULT_SETTINGS,
-    ouroboros_system: OuroborosSystem | None = None,
     systems: tuple[str, ...] | None = None,
 ) -> dict[str, RunResult]:
     """Run every baseline plus Ouroboros on one (model, workload) cell.
@@ -264,8 +197,6 @@ def run_all_systems(
     :class:`ConfigurationError` instead of being swallowed); only *capacity*
     failures while building -- a baseline that cannot deploy the model at all
     -- are omitted, mirroring the missing bars of the paper's figures.
-    ``ouroboros_system`` serves on a caller-provided system instead of the
-    spec-built one (legacy hook).
     """
     specs = cell_deployments(model, workload, settings, systems=systems)
     for spec in specs:
@@ -273,14 +204,6 @@ def run_all_systems(
     results: dict[str, RunResult] = {}
     for spec in specs:
         display = get_system(spec.system).display_name
-        if spec.system == "ouroboros":
-            if ouroboros_system is not None:
-                trace = api.trace_for(spec)
-                result = ouroboros_system.serve(trace, workload_name=spec.label())
-                result.system = OUROBOROS_NAME
-                results[OUROBOROS_NAME] = result
-                continue
-            display = OUROBOROS_NAME
         try:
             results[display] = api.serve(spec)
         except ConfigurationError:

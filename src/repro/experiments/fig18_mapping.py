@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ..api import resolve_model
 from ..hardware.wafer import Wafer
 from ..hardware.yieldmodel import sample_defect_map
 from ..mapping.baselines import (
@@ -27,7 +28,7 @@ from ..mapping.baselines import (
 from ..mapping.intercore import map_model
 from ..models.architectures import ModelArch
 from ..models.layers import cores_per_block
-from .common import DEFAULT_SETTINGS, ExperimentSettings, FigureResult, resolve_model
+from .common import DEFAULT_SETTINGS, ExperimentSettings, FigureResult
 
 MAPPING_MODELS = ("llama-13b", "llama-32b", "llama-65b")
 SCHEMES = ("Cerebras", "WaferLLM", "Ours")

@@ -40,6 +40,7 @@ from ..models.architectures import ModelArch
 from ..workload.requests import Sequence
 from .blocks import tokens_per_block
 from .pagetable import PageTableStore
+from .quota import TenantQuotaLedger
 
 
 @dataclass
@@ -96,7 +97,7 @@ class _SequenceAllocation:
         return self.slots[self.unique_cores]
 
 
-class DistributedKVCacheManager:
+class DistributedKVCacheManager(TenantQuotaLedger):
     """Dynamic, distributed KV-cache manager with per-block ring allocation."""
 
     def __init__(
@@ -113,6 +114,7 @@ class DistributedKVCacheManager:
             raise ConfigurationError("threshold must lie in [0, 1)")
         if blocks_per_core <= 0:
             raise ConfigurationError("blocks_per_core must be positive")
+        super().__init__(len(kv_core_ids) * blocks_per_core)
         self.arch = arch
         self.kv_core_ids = list(kv_core_ids)
         self.blocks_per_core = blocks_per_core
@@ -120,16 +122,6 @@ class DistributedKVCacheManager:
         self.element_bytes = element_bytes or arch.activation_bytes
         self.tokens_per_block = tokens_per_block(arch.head_dim, self.element_bytes)
         self.stats = KVCacheStats()
-        #: whether the most recent admission/growth failure was caused by a
-        #: tenant quota rather than cache pressure.  The scheduler reads this
-        #: to decide whether evicting *other* tenants could possibly help.
-        self.last_failure_quota_bound = False
-        #: per-tenant cap as the configured fraction of the cache
-        self._tenant_quotas: dict[str, float] = {}
-        #: per-tenant cap in blocks (floor of fraction x configured capacity)
-        self._tenant_quota_blocks: dict[str, int] = {}
-        #: blocks currently held per quota'd tenant
-        self._tenant_used: dict[str, int] = {}
 
         num_cores = len(self.kv_core_ids)
         self._free_blocks = np.full(num_cores, blocks_per_core, dtype=np.int64)
@@ -236,49 +228,6 @@ class DistributedKVCacheManager:
     @property
     def resident_sequences(self) -> list[int]:
         return sorted(self._allocations)
-
-    # ---------------------------------------------------------------- quotas
-
-    def set_tenant_quotas(self, quotas: dict[str, float]) -> None:
-        """Cap each listed tenant to a fraction of the configured capacity.
-
-        The cap is ``floor(fraction * num_kv_cores * blocks_per_core)`` blocks
-        -- computed against the *configured* capacity, not the currently
-        healthy one, so core failures do not silently shrink a tenant's
-        entitlement mid-run.  A fraction of 0.0 is a valid cap that rejects
-        every admission for that tenant.  Tenants not listed are uncapped.
-        """
-        for tenant, fraction in quotas.items():
-            if not 0.0 <= fraction <= 1.0:
-                raise ConfigurationError(
-                    f"tenant {tenant!r} kv_quota must lie in [0, 1], got {fraction}"
-                )
-        self._tenant_quotas = dict(quotas)
-        capacity = self.num_kv_cores * self.blocks_per_core
-        self._tenant_quota_blocks = {
-            tenant: int(fraction * capacity)
-            for tenant, fraction in self._tenant_quotas.items()
-        }
-        for tenant in self._tenant_quota_blocks:
-            self._tenant_used.setdefault(tenant, 0)
-
-    def tenant_quota_blocks(self, tenant: str) -> int | None:
-        """Block cap of a tenant (None when uncapped)."""
-        return self._tenant_quota_blocks.get(tenant)
-
-    def tenant_used_blocks(self, tenant: str) -> int:
-        """Blocks currently held by a quota'd tenant (0 when uncapped)."""
-        return self._tenant_used.get(tenant, 0)
-
-    def _quota_allows(self, tenant: str, blocks: int) -> bool:
-        cap = self._tenant_quota_blocks.get(tenant)
-        if cap is None:
-            return True
-        return self._tenant_used.get(tenant, 0) + blocks <= cap
-
-    def _charge_tenant(self, tenant: str, blocks: int) -> None:
-        if tenant in self._tenant_quota_blocks:
-            self._tenant_used[tenant] += blocks
 
     def tokens_cached(self, sequence_id: int) -> int:
         allocation = self._allocations.get(sequence_id)
@@ -650,8 +599,7 @@ class DistributedKVCacheManager:
             "failed_cores": sorted(self._failed_cores),
             "free_total": self._free_total,
             "free_on_failed": self._free_on_failed,
-            "tenant_quotas": dict(self._tenant_quotas),
-            "tenant_used": dict(self._tenant_used),
+            **self._quota_state(),
             "stats": dict(self.stats.__dict__),
         }
 
@@ -674,9 +622,7 @@ class DistributedKVCacheManager:
         self._failed_cores = set(state["failed_cores"])
         self._free_total = state["free_total"]
         self._free_on_failed = state["free_on_failed"]
-        self._tenant_used = dict(state.get("tenant_used", {}))
-        self.set_tenant_quotas(dict(state.get("tenant_quotas", {})))
-        self.last_failure_quota_bound = False
+        self._restore_quota_state(state)
         self.stats = KVCacheStats(**state["stats"])
 
     # ------------------------------------------------------------------ private

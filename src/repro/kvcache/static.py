@@ -20,6 +20,7 @@ from ..errors import ConfigurationError, KVCacheError
 from ..models.architectures import ModelArch
 from ..workload.requests import Sequence
 from .blocks import tokens_per_block
+from .quota import TenantQuotaLedger
 
 
 @dataclass
@@ -33,7 +34,7 @@ class StaticKVCacheStats:
     peak_resident: int = 0
 
 
-class StaticKVCacheManager:
+class StaticKVCacheManager(TenantQuotaLedger):
     """Reserve worst-case KV space per sequence at admission time."""
 
     def __init__(
@@ -50,6 +51,7 @@ class StaticKVCacheManager:
             num_cores = len(kv_core_ids)
         if num_cores <= 0:
             raise ConfigurationError("at least one KV core is required")
+        super().__init__(num_cores * blocks_per_core)
         self.arch = arch
         self.num_kv_cores = num_cores
         self.blocks_per_core = blocks_per_core
@@ -59,12 +61,6 @@ class StaticKVCacheManager:
         self.stats = StaticKVCacheStats()
         self._resident: dict[int, int] = {}  # sequence id -> reserved blocks
         self._free_blocks = num_cores * blocks_per_core
-        #: whether the most recent admission failure was quota-bound (read by
-        #: the scheduler to steer eviction pressure intra-tenant first)
-        self.last_failure_quota_bound = False
-        self._tenant_quotas: dict[str, float] = {}
-        self._tenant_quota_blocks: dict[str, int] = {}
-        self._tenant_used: dict[str, int] = {}
         # Static reservations never vary per sequence, so the per-sequence
         # block count and the byte capacity are computed once, not per call.
         slots = 2 * self.arch.num_blocks * self.arch.kv_heads
@@ -109,37 +105,6 @@ class StaticKVCacheManager:
     def resident_sequences(self) -> list[int]:
         return sorted(self._resident)
 
-    # ---------------------------------------------------------------- quotas
-
-    def set_tenant_quotas(self, quotas: dict[str, float]) -> None:
-        """Cap each listed tenant to a fraction of the cache's blocks.
-
-        Same semantics as the dynamic manager's
-        :meth:`~repro.kvcache.manager.DistributedKVCacheManager.set_tenant_quotas`:
-        ``floor(fraction * total_blocks)`` blocks, 0.0 rejects everything,
-        unlisted tenants are uncapped.
-        """
-        for tenant, fraction in quotas.items():
-            if not 0.0 <= fraction <= 1.0:
-                raise ConfigurationError(
-                    f"tenant {tenant!r} kv_quota must lie in [0, 1], got {fraction}"
-                )
-        self._tenant_quotas = dict(quotas)
-        self._tenant_quota_blocks = {
-            tenant: int(fraction * self.total_blocks)
-            for tenant, fraction in self._tenant_quotas.items()
-        }
-        for tenant in self._tenant_quota_blocks:
-            self._tenant_used.setdefault(tenant, 0)
-
-    def tenant_quota_blocks(self, tenant: str) -> int | None:
-        """Block cap of a tenant (None when uncapped)."""
-        return self._tenant_quota_blocks.get(tenant)
-
-    def tenant_used_blocks(self, tenant: str) -> int:
-        """Blocks currently held by a quota'd tenant (0 when uncapped)."""
-        return self._tenant_used.get(tenant, 0)
-
     # -------------------------------------------------------------- allocation
 
     def try_admit(self, sequence: Sequence) -> bool:
@@ -148,8 +113,7 @@ class StaticKVCacheManager:
             raise KVCacheError(f"sequence {sequence_id} is already resident")
         self.last_failure_quota_bound = False
         needed = self.blocks_per_sequence()
-        cap = self._tenant_quota_blocks.get(sequence.tenant)
-        if cap is not None and self._tenant_used.get(sequence.tenant, 0) + needed > cap:
+        if not self._quota_allows(sequence.tenant, needed):
             self.stats.failed_admissions += 1
             self.stats.quota_rejections += 1
             self.last_failure_quota_bound = True
@@ -159,8 +123,7 @@ class StaticKVCacheManager:
             return False
         self._free_blocks -= needed
         self._resident[sequence_id] = needed
-        if sequence.tenant in self._tenant_quota_blocks:
-            self._tenant_used[sequence.tenant] += needed
+        self._charge_tenant(sequence.tenant, needed)
         self.stats.admitted_sequences += 1
         self.stats.peak_resident = max(self.stats.peak_resident, len(self._resident))
         return True
@@ -205,8 +168,7 @@ class StaticKVCacheManager:
         if reserved is None:
             return
         self._free_blocks += reserved
-        if sequence.tenant in self._tenant_quota_blocks:
-            self._tenant_used[sequence.tenant] -= reserved
+        self._charge_tenant(sequence.tenant, -reserved)
         self.stats.released_sequences += 1
 
     # -------------------------------------------------------------- checkpoint
@@ -216,15 +178,12 @@ class StaticKVCacheManager:
         return {
             "resident": [list(item) for item in self._resident.items()],
             "free_blocks": self._free_blocks,
-            "tenant_quotas": dict(self._tenant_quotas),
-            "tenant_used": dict(self._tenant_used),
+            **self._quota_state(),
             "stats": dict(self.stats.__dict__),
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
         self._resident = {seq_id: blocks for seq_id, blocks in state["resident"]}
         self._free_blocks = state["free_blocks"]
-        self._tenant_used = dict(state.get("tenant_used", {}))
-        self.set_tenant_quotas(dict(state.get("tenant_quotas", {})))
-        self.last_failure_quota_bound = False
+        self._restore_quota_state(state)
         self.stats = StaticKVCacheStats(**state["stats"])

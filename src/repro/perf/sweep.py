@@ -208,22 +208,6 @@ class SweepRunner:
         """
         return self._run_pairs([(cell, settings) for settings in settings_list])
 
-    def run_specs_daemon(self, specs: list) -> list[dict]:
-        """Serve each deployment spec through its own live daemon (fleet mode).
-
-        One :class:`~repro.serving.daemon.ServingDaemon` per spec on
-        background threads, each replayed by a protocol client and drained;
-        results are result dicts in spec order, bit-for-bit the batch
-        ``serve(spec)`` results.  Runs on threads rather than the process
-        pool — daemons are I/O-multiplexed around one engine thread each,
-        and concurrent starts share ``api.build_deployment``'s memo under
-        its lock.
-        """
-        from ..serving import DaemonFleet
-
-        fleet = DaemonFleet(specs, max_workers=self.max_workers)
-        return fleet.run()
-
     def run_grid(
         self,
         models: tuple[str, ...],

@@ -84,6 +84,12 @@ class ServingDaemon:
         announce: Callable[[str], None] | None = None,
     ) -> None:
         spec.validate()
+        entry = api.get_system(spec.system)
+        if not entry.simulated:
+            raise ConfigurationError(
+                f"{entry.display_name} does not support live serving; use an "
+                "Ouroboros-family system."
+            )
         self.spec = spec
         self.host = host
         self.port = port
@@ -138,11 +144,6 @@ class ServingDaemon:
         self._shutdown = asyncio.Event()
 
         system = api.build_deployment(self.spec)
-        if not hasattr(system, "serve_live"):
-            raise ConfigurationError(
-                f"{api.get_system(self.spec.system).display_name} does not "
-                "support live serving; use an Ouroboros-family system."
-            )
         trace = self._make_live_trace()
         self._hub = TelemetryHub(window_s=self.window_s, slo_for=trace.slo_for)
         self._feed = LiveArrivalFeed(
@@ -229,7 +230,7 @@ class ServingDaemon:
         try:
             faults = self.spec.faults
             fault_plan = faults if faults is not None and len(faults) else None
-            outcome = system.serve_live(
+            outcome = system.built.serve_live(
                 trace,
                 workload_name=self.spec.label(),
                 arrival_feed=feed,

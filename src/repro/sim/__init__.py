@@ -1,29 +1,22 @@
-"""End-to-end simulation: system builder, energy accounting and result types."""
+"""End-to-end simulation: system builder and runtime fault injection."""
 
-from .accounting import EnergyAccountant
 from .engine import (
     BuiltOuroboros,
     KVPolicy,
     MappingStrategy,
     OuroborosSystemConfig,
     PipelineMode,
-    build_system,
     required_wafers,
 )
 from .faults import FaultEvent, FaultInjector, FaultPlan, make_fault_plan
-from .results import EnergyBreakdown, RunResult
 
 __all__ = [
-    "EnergyAccountant",
     "BuiltOuroboros",
     "OuroborosSystemConfig",
     "PipelineMode",
     "KVPolicy",
     "MappingStrategy",
-    "build_system",
     "required_wafers",
-    "EnergyBreakdown",
-    "RunResult",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",

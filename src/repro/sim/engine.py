@@ -1,11 +1,14 @@
 """End-to-end Ouroboros system builder and simulator.
 
-:class:`OuroborosBuilder` turns a model architecture plus an
-:class:`OuroborosSystemConfig` into a *built system*: the wafer(s) with a
-sampled defect map, the inter-core weight mapping, the KV-cache manager owning
-the leftover cores, and the per-token cost model parameterised by the mapping's
-average hop distance.  :meth:`BuiltOuroboros.serve` then runs a request trace
-through the selected pipeline strategy and returns a :class:`RunResult`.
+:func:`_build_system` (reached through ``OuroborosSystem(...).built`` or
+:func:`repro.api.build_deployment`) turns a model architecture plus an
+:class:`OuroborosSystemConfig` into a :class:`BuiltOuroboros`: the wafer(s)
+with a sampled defect map, the inter-core weight mapping, the KV-cache manager
+owning the leftover cores, and the per-token cost model parameterised by the
+mapping's average hop distance.  :meth:`BuiltOuroboros.serve` then runs a
+request trace through the selected pipeline strategy and returns a
+:class:`RunResult`; the daemon's :meth:`BuiltOuroboros.serve_live` is the same
+body fed by a live arrival feed.
 
 Multi-wafer scaling (Section 6.8) is modelled by partitioning the model's
 blocks across wafers; the only cross-wafer traffic is the single token-sized
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigurationError, MappingError
@@ -137,7 +139,7 @@ class BuiltOuroboros:
             "kv_cores": self.num_kv_cores,
             "pipeline_depth": 6 * self.arch.num_blocks,
             "average_hops": self.cost_model.average_hops,
-            "kv_capacity_gib": getattr(self.kv_manager, "capacity_bytes", 0) / (1 << 30),
+            "kv_capacity_gib": self.kv_manager.capacity_bytes / (1 << 30),
         }
 
     # ------------------------------------------------------------------ serving
@@ -227,6 +229,8 @@ class BuiltOuroboros:
         fault_plan=None,
         suspend_at_epoch: int | None = None,
         resume_from: EngineCheckpoint | None = None,
+        arrival_feed=None,
+        scalar: bool = False,
     ) -> RunResult | EngineCheckpoint:
         """Serve a trace and return throughput/energy results.
 
@@ -235,14 +239,18 @@ class BuiltOuroboros:
         result once that epoch is reached (the wafer-level cost adjustments
         and summary are applied when the resumed run finishes, not twice), and
         ``resume_from`` continues a suspended run bit for bit.
+        ``arrival_feed`` and ``scalar`` are the live path's knobs (see
+        :meth:`serve_live`).
         """
         engine = self.make_pipeline()
-        outcome = engine.run(
+        runner = engine.run_scalar if scalar else engine.run
+        outcome = runner(
             trace,
             workload_name,
             fault_plan=fault_plan,
             suspend_at_epoch=suspend_at_epoch,
             resume_from=resume_from,
+            arrival_feed=arrival_feed,
         )
         if isinstance(outcome, EngineCheckpoint):
             return outcome
@@ -270,20 +278,14 @@ class BuiltOuroboros:
         :class:`EngineCheckpoint` like a suspended batch run.  ``scalar``
         selects the scalar reference engine path (parity tests).
         """
-        engine = self.make_pipeline()
-        runner = engine.run_scalar if scalar else engine.run
-        outcome = runner(
+        return self.serve(
             trace,
             workload_name,
             fault_plan=fault_plan,
             resume_from=resume_from,
             arrival_feed=arrival_feed,
+            scalar=scalar,
         )
-        if isinstance(outcome, EngineCheckpoint):
-            return outcome
-        result = self._add_inter_wafer_costs(outcome, trace)
-        result.extra.update(self.summary())
-        return result
 
     def _add_inter_wafer_costs(
         self, result: RunResult, trace: Trace | StreamingTrace
@@ -342,32 +344,6 @@ def _build_kv_manager(
         kv_core_ids,
         threshold=config.kv_threshold,
     )
-
-
-def default_system_config() -> OuroborosSystemConfig:
-    """The one place default Ouroboros knobs come from.
-
-    :class:`repro.api.DeploymentSpec` uses this as its ``config`` default;
-    the legacy entry points below route through it instead of each
-    constructing their own ``OuroborosSystemConfig()``.
-    """
-    return OuroborosSystemConfig()
-
-
-def build_system(arch: ModelArch, config: OuroborosSystemConfig | None = None) -> BuiltOuroboros:
-    """Deprecated public entry point: build a ready-to-serve deployment.
-
-    Prefer ``repro.api.serve(DeploymentSpec(...))`` or
-    ``repro.api.build_deployment(...)``; this shim keeps old callers working
-    (results are bitwise-identical) while steering new code to the spec API.
-    """
-    warnings.warn(
-        "build_system() is deprecated; use repro.api.serve(DeploymentSpec(...)) "
-        "or repro.api.build_deployment() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_system(arch, config if config is not None else default_system_config())
 
 
 def _build_system(arch: ModelArch, config: OuroborosSystemConfig) -> BuiltOuroboros:
@@ -466,6 +442,6 @@ def _partition_blocks(
 
 def required_wafers(arch: ModelArch, config: OuroborosSystemConfig | None = None) -> int:
     """Minimum wafer count whose SRAM holds the model weights plus KV headroom."""
-    config = config if config is not None else default_system_config()
+    config = config if config is not None else OuroborosSystemConfig()
     per_wafer = config.wafer.sram_bytes * 0.80  # keep ~20% for KV/activations
     return max(1, math.ceil(arch.total_weight_bytes / per_wafer))

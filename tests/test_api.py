@@ -25,27 +25,19 @@ from repro.api import (
 )
 from repro.baselines.common import BaselineSystem
 from repro.errors import ConfigurationError
-from repro.experiments.common import BASELINE_SYSTEMS, OUROBOROS_NAME, ExperimentSettings
+from repro.experiments.common import OUROBOROS_NAME, ExperimentSettings
 from repro.models.architectures import MODEL_REGISTRY
-from repro.sim.engine import (
-    KVPolicy,
-    MappingStrategy,
-    OuroborosSystemConfig,
-    PipelineMode,
-    build_system,
-    default_system_config,
-    required_wafers,
-)
+from repro.sim.engine import KVPolicy, MappingStrategy, PipelineMode
 
 FAST = ExperimentSettings(num_requests=5, anneal_iterations=5)
 
 
 class TestRegistry:
     def test_every_paper_baseline_is_registered(self):
-        for display_name, system_cls in BASELINE_SYSTEMS.items():
-            entry = get_system(display_name)
-            assert entry.display_name == display_name
-            assert entry.system_cls is system_cls
+        for key in comparison_grid_keys():
+            entry = get_system(key)
+            assert get_system(entry.display_name) is entry
+            assert issubclass(entry.system_cls, BaselineSystem)
 
     def test_lookup_by_key_and_display_name(self):
         assert get_system("dgx-a100") is get_system("DGX A100")
@@ -60,8 +52,8 @@ class TestRegistry:
         assert displays == ["DGX A100", "TPUv4", "AttAcc", "Cerebras"]
 
     def test_only_ouroboros_supports_arrival(self):
-        arrival = {k for k, e in SYSTEM_REGISTRY.items() if e.supports_arrival}
-        assert arrival == {"ouroboros"}
+        simulated = {k for k, e in SYSTEM_REGISTRY.items() if e.simulated}
+        assert simulated == {"ouroboros"}
 
     def test_register_new_backend(self):
         entry = SystemEntry(
@@ -262,50 +254,6 @@ class TestServe:
             serve(spec)
 
 
-class TestDeprecatedShims:
-    def test_build_system_warns_and_matches_api(self):
-        settings = FAST
-        spec = settings.deployment("llama-13b", "lp128_ld2048")
-        with pytest.warns(DeprecationWarning):
-            built = build_system(resolve_model("llama-13b"), spec.config)
-        old = built.serve(api.trace_for(spec), workload_name=spec.workload)
-        new = serve(spec)
-        old_dict, new_dict = old.as_dict(), new.as_dict()
-        # The unified entry point relabels the system; every measured field
-        # must stay bitwise-identical.
-        old_dict.pop("system"), new_dict.pop("system")
-        assert old_dict == new_dict
-
-    def test_run_ouroboros_shim_matches_api(self):
-        from repro.experiments.common import run_ouroboros
-
-        with pytest.warns(DeprecationWarning):
-            old = run_ouroboros("llama-13b", "lp128_ld2048", FAST)
-        new = serve(FAST.deployment("llama-13b", "lp128_ld2048"))
-        assert old.as_dict() == new.as_dict()
-
-    def test_run_baseline_shim_matches_api(self):
-        from repro.experiments.common import run_baseline
-
-        with pytest.warns(DeprecationWarning):
-            old = run_baseline("DGX A100", "llama-13b", "lp128_ld2048", FAST)
-        new = serve(FAST.deployment("llama-13b", "lp128_ld2048", system="dgx-a100"))
-        assert old.as_dict() == new.as_dict()
-
-    def test_run_baseline_shim_returns_none_when_model_does_not_fit(self):
-        from repro.experiments.common import run_baseline
-
-        with pytest.warns(DeprecationWarning):
-            missing = run_baseline("Cerebras", "llama-65b", "wikitext2", FAST)
-        # LLaMA-65B needs two WSE-2 wafers; the shim mirrors the missing bar.
-        assert missing is None or missing.total_tokens > 0
-
-    def test_build_system_default_config_comes_from_one_place(self):
-        arch = resolve_model("llama-13b")
-        assert required_wafers(arch) == required_wafers(arch, default_system_config())
-        assert default_system_config() == OuroborosSystemConfig()
-
-
 class TestProtocolCompliance:
     def test_ouroboros_system_is_a_serving_system(self):
         system = build_deployment(FAST.deployment("llama-13b", "wikitext2"))
@@ -317,8 +265,8 @@ class TestProtocolCompliance:
         assert isinstance(system.built, ServingSystem)
 
     def test_baseline_systems_expose_name_and_summary(self):
-        for display in BASELINE_SYSTEMS:
-            entry = get_system(display)
+        for key in comparison_grid_keys():
+            entry = get_system(key)
             system = build_deployment(
                 FAST.deployment("llama-13b", "wikitext2", system=entry.key),
                 cache=False,

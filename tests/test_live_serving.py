@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro import api
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.experiments.common import ExperimentSettings
 from repro.results import TenantStats
 from repro.serving import (
@@ -270,14 +270,16 @@ class TestDaemonParity:
         results = DaemonFleet(specs).run()
         assert results == [batch_result("fcfs"), batch_result("priority")]
 
-    def test_sweep_runner_daemon_mode(self):
-        from repro.perf import SweepRunner
-
-        runner = SweepRunner(max_workers=2)
-        assert runner.run_specs_daemon([spec_for("fcfs")]) == [batch_result("fcfs")]
-
 
 class TestDaemonProtocolSurface:
+    def test_daemon_refuses_a_system_without_a_simulated_runtime(self):
+        spec = (
+            api.deployment("llama-13b").system("dgx-a100")
+            .workload("lp128_ld2048").requests(8).build()
+        )
+        with pytest.raises(ConfigurationError, match="live serving"):
+            start_daemon(spec)
+
     def test_hello_status_duplicates_and_errors(self):
         spec = spec_for("fcfs")
         request = trace_requests(spec)[0]

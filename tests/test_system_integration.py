@@ -13,11 +13,15 @@ from repro.sim.engine import (
     MappingStrategy,
     OuroborosSystemConfig,
     PipelineMode,
-    build_system,
     required_wafers,
 )
 
 from .conftest import make_trace
+
+
+def build(arch, config):
+    """Build a deployment exactly as configured (no wafer auto-scaling)."""
+    return OuroborosSystem(arch, config, auto_scale_wafers=False).built
 
 
 @pytest.fixture
@@ -27,7 +31,7 @@ def system(tiny_arch, small_system_config):
 
 class TestBuild:
     def test_build_partitions_cores(self, tiny_arch, small_system_config):
-        built = build_system(tiny_arch, small_system_config)
+        built = build(tiny_arch, small_system_config)
         assert built.num_weight_cores == 8
         assert built.num_kv_cores > 0
         assert built.num_weight_cores + built.num_kv_cores <= built.healthy_cores
@@ -39,30 +43,28 @@ class TestBuild:
         assert summary["wafers"] == 1
         assert summary["kv_capacity_gib"] > 0
 
-    def test_lazy_build_and_rebuild(self, system):
+    def test_lazy_build(self, system):
         first = system.built
         assert system.built is first
-        second = system.rebuild()
-        assert second is not first
 
     def test_static_kv_policy(self, tiny_arch, small_system_config):
         config = dataclasses.replace(small_system_config, kv_policy=KVPolicy.STATIC)
-        built = build_system(tiny_arch, config)
+        built = build(tiny_arch, config)
         assert isinstance(built.kv_manager, StaticKVCacheManager)
 
     def test_dynamic_kv_policy_default(self, tiny_arch, small_system_config):
-        built = build_system(tiny_arch, small_system_config)
+        built = build(tiny_arch, small_system_config)
         assert isinstance(built.kv_manager, DistributedKVCacheManager)
 
     def test_defect_modelling(self, tiny_arch, small_system_config):
         config = dataclasses.replace(small_system_config, model_defects=True, defect_seed=1)
-        built = build_system(tiny_arch, config)
+        built = build(tiny_arch, config)
         assert built.defect_maps[0] is not None
         assert built.healthy_cores <= built.total_cores
 
     def test_naive_mapping_has_more_hops(self, tiny_arch, small_system_config):
-        optimized = build_system(tiny_arch, small_system_config)
-        naive = build_system(
+        optimized = build(tiny_arch, small_system_config)
+        naive = build(
             tiny_arch,
             dataclasses.replace(
                 small_system_config, mapping_strategy=MappingStrategy.NAIVE
@@ -79,7 +81,7 @@ class TestBuild:
 
     def test_model_too_big_for_small_wafer_rejected(self, small_arch, small_system_config):
         with pytest.raises(MappingError):
-            build_system(small_arch, small_system_config)
+            build(small_arch, small_system_config)
 
 
 class TestServe:
@@ -136,17 +138,11 @@ class TestServe:
             > cim.serve(trace).energy_per_output_token_j
         )
 
-    def test_serve_workload_by_name(self, tiny_arch, small_system_config):
-        system = OuroborosSystem(tiny_arch, small_system_config, auto_scale_wafers=False)
-        result = system.serve_workload("lp128_ld2048", num_requests=2)
-        assert result.workload == "lp128_ld2048"
-        assert result.output_tokens == 2 * 2048
-
 
 class TestMultiWafer:
     def test_two_wafer_build(self, tiny_arch, small_system_config):
         config = dataclasses.replace(small_system_config, num_wafers=2)
-        built = build_system(tiny_arch, config)
+        built = build(tiny_arch, config)
         assert len(built.wafers) == 2
         assert len(built.mappings) == 2
         # One transformer block mapped per wafer.
@@ -172,17 +168,3 @@ class TestMultiWafer:
         system = OuroborosSystem(llama_65b(), OuroborosSystemConfig(anneal_iterations=0))
         assert system.num_wafers == 2
 
-
-class TestFaultInjection:
-    def test_inject_weight_core_failure(self, system):
-        mapping = system.built.mappings[0]
-        failed = mapping.weight_core_ids[0]
-        result = system.inject_core_failure(failed)
-        assert result.failed_core == failed
-        assert result.reclaimed_kv_core is not None
-
-    def test_inject_kv_core_failure(self, system):
-        mapping = system.built.mappings[0]
-        failed = mapping.kv_core_ids[0]
-        result = system.inject_core_failure(failed)
-        assert result.reclaimed_kv_core is None
