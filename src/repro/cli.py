@@ -30,11 +30,13 @@ Four sub-commands cover the workflows a downstream user needs:
     ``shutdown`` control it.
 
 ``experiment``
-    Regenerate one of the paper's figures (``fig01`` ... ``fig24``,
+    Regenerate one of the paper's figures (``fig01`` ... ``fig26``,
     ``headline`` or ``all``) and print the regenerated rows.  ``fig22``
     (open-loop arrival-rate sweep), ``fig23`` (multi-tenant SLO goodput
-    vs. offered load) and ``fig24`` (scheduling-policy comparison under the
-    fig23 sweep) go beyond the paper's own figures.
+    vs. offered load), ``fig24`` (scheduling-policy comparison under the
+    fig23 sweep), ``fig25`` (fault recovery and overload shedding) and
+    ``fig26`` (preemptive scheduling and its recompute tax) go beyond the
+    paper's own figures.
 
 ``bench``
     Time the headline experiments stage by stage (system build, serving,

@@ -66,7 +66,7 @@ def default_tenants(num_requests: int) -> tuple[TenantSpec, ...]:
 
     Two thirds of the requests belong to the interactive tenant, one third to
     the batch tenant; rates are attached per swept load fraction by
-    :func:`run`.
+    :meth:`LoadAnchor.tenants_at`.
     """
     interactive = max(1, (2 * num_requests) // 3)
     batch = max(1, num_requests - interactive)
@@ -96,91 +96,110 @@ class SLOGoodputResult(FigureResult):
         return min(self.max_load.values())
 
 
-def run(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    model: str = "llama-13b",
-    tenants: tuple[TenantSpec, ...] | None = None,
-    load_fractions: tuple[float, ...] = DEFAULT_LOAD_FRACTIONS,
-    slo: SLOTarget | None = None,
-    runner: SweepRunner | None = None,
-    base_rate_per_s: float | None = None,
-) -> SLOGoodputResult:
-    """Sweep per-tenant offered load against a TTFT / end-to-end SLO.
+@dataclass(frozen=True)
+class LoadAnchor:
+    """The closed-batch service rate and per-tenant SLOs fig23-26 read every
+    swept load against: measured once by :func:`anchor`, served by
+    :func:`sweep`."""
 
-    ``base_rate_per_s`` overrides the closed-batch anchor run that normally
-    defines the service rate the load fractions scale — the policy-comparison
-    figure (fig24) passes the FCFS anchor so every policy is swept at
-    *identical* offered loads rather than loads rescaled by each policy's own
-    closed-batch rate.
-    """
-    runner = runner or SweepRunner()
+    model: str
+    #: the closed mix (every arrival rate 0) with each tenant's SLO attached
+    tenants: tuple[TenantSpec, ...]
+    #: combined closed-batch request service rate (requests/s) of the mix
+    base_rate_per_s: float
+
+    @property
+    def cell(self) -> SweepCell:
+        return SweepCell(model=self.model, workload="wikitext2", systems=())
+
+    @property
+    def num_requests(self) -> int:
+        return sum(tenant.num_requests for tenant in self.tenants)
+
+    @property
+    def slos(self) -> dict[str, SLOTarget]:
+        return {
+            tenant.name: tenant.slo for tenant in self.tenants if tenant.slo is not None
+        }
+
+    def rate(self, fraction: float, tenant: TenantSpec) -> float:
+        """``tenant``'s arrival rate at ``fraction`` of the closed-batch rate:
+        each tenant's rate scales with its share of the request mix."""
+        share = tenant.num_requests / self.num_requests
+        return fraction * self.base_rate_per_s * share
+
+    def tenants_at(self, fraction: float) -> tuple[TenantSpec, ...]:
+        return tuple(
+            replace(tenant, arrival_rate_per_s=self.rate(fraction, tenant))
+            for tenant in self.tenants
+        )
+
+
+def with_default_cap(settings: ExperimentSettings) -> ExperimentSettings:
+    """``settings`` capped at :data:`DEFAULT_MAX_ACTIVE` unless it sets a cap."""
     if settings.max_active_sequences is None:
-        settings = replace(settings, max_active_sequences=DEFAULT_MAX_ACTIVE)
-    tenants = tenants if tenants is not None else default_tenants(settings.num_requests)
+        return replace(settings, max_active_sequences=DEFAULT_MAX_ACTIVE)
+    return settings
+
+
+def anchor(
+    settings: ExperimentSettings,
+    model: str,
+    tenants: tuple[TenantSpec, ...],
+    light_fraction: float,
+    runner: SweepRunner,
+) -> LoadAnchor:
+    """Measure the closed-batch rate and attach per-tenant SLOs to ``tenants``."""
+    settings = with_default_cap(settings)
     closed = tuple(replace(tenant, arrival_rate_per_s=0.0) for tenant in tenants)
-    total_requests = sum(tenant.num_requests for tenant in closed)
-    cell = SweepCell(model=model, workload="wikitext2", systems=())
+    load = LoadAnchor(model=model, tenants=closed, base_rate_per_s=0.0)
 
     # Anchor 1: the closed-batch run of the same mix defines the service rate
     # the load fractions are scaled by.  With every arrival at t=0 it also
     # regression-anchors the multi-tenant path to closed batch.
-    if base_rate_per_s is not None:
-        base_rate = base_rate_per_s
-    else:
-        batch_settings = replace(
-            settings, tenants=closed, slo=None, arrival_rate_per_s=0.0
-        )
-        batch = runner.run_variants(cell, [batch_settings])[0][OUROBOROS_NAME]
-        base_rate = total_requests / batch.total_time_s
+    batch_settings = replace(settings, tenants=closed, slo=None, arrival_rate_per_s=0.0)
+    batch = runner.run_variants(load.cell, [batch_settings])[0][OUROBOROS_NAME]
+    load = replace(load, base_rate_per_s=load.num_requests / batch.total_time_s)
 
-    def tenants_at(fraction: float, tenants: tuple[TenantSpec, ...]):
-        return tuple(
-            replace(
-                tenant,
-                arrival_rate_per_s=fraction
-                * base_rate
-                * (tenant.num_requests / total_requests),
-            )
-            for tenant in tenants
-        )
-
-    # Anchor 2: the lightest swept load, served without an SLO, defines each
-    # tenant's *unloaded* latency scale (at light load a request faces little
+    # Anchor 2: the light load, served without an SLO, defines each tenant's
+    # *unloaded* latency scale (at light load a request faces little
     # queueing, so its latency is close to intrinsic service time).  Skipped
-    # entirely when every tenant already carries an SLO (or the caller set a
-    # deployment-wide one), e.g. when fig24 re-sweeps under another policy
-    # against the SLOs derived from the FCFS anchor.
-    light = None
-    if slo is None and any(tenant.slo is None for tenant in closed):
-        light_fraction = min(load_fractions)
-        light = runner.run_variants(
-            cell, [replace(settings, tenants=tenants_at(light_fraction, closed))]
-        )[0][OUROBOROS_NAME]
+    # when every tenant already carries an SLO, which it keeps.
+    if all(tenant.slo is not None for tenant in closed):
+        return load
+    light = runner.run_variants(
+        load.cell, [replace(settings, tenants=load.tenants_at(light_fraction))]
+    )[0][OUROBOROS_NAME]
 
-    # Attach each tenant's SLO: the caller's deployment-wide target when
-    # given, otherwise a deadline scaled from the tenant's own light-load
-    # medians (a tenant already carrying an SLO keeps it).
     def tenant_slo(tenant: TenantSpec) -> SLOTarget:
         if tenant.slo is not None:
             return tenant.slo
-        if slo is not None:
-            return slo
-        anchor = light.tenants[tenant.name]
+        unloaded = light.tenants[tenant.name]
         return SLOTarget(
-            ttft_s=max(DEFAULT_TTFT_FACTOR * anchor.ttft.p95_s, 1e-9),
-            latency_s=max(DEFAULT_LATENCY_FACTOR * anchor.latency.p95_s, 1e-9),
+            ttft_s=max(DEFAULT_TTFT_FACTOR * unloaded.ttft.p95_s, 1e-9),
+            latency_s=max(DEFAULT_LATENCY_FACTOR * unloaded.latency.p95_s, 1e-9),
             goodput_target=DEFAULT_GOODPUT_TARGET,
         )
 
-    closed = tuple(replace(tenant, slo=tenant_slo(tenant)) for tenant in closed)
-    slos = {tenant.name: tenant.slo for tenant in closed}
+    slo_tenants = tuple(replace(tenant, slo=tenant_slo(tenant)) for tenant in closed)
+    return replace(load, tenants=slo_tenants)
 
+
+def sweep(
+    load: LoadAnchor,
+    settings: ExperimentSettings,
+    load_fractions: tuple[float, ...],
+    runner: SweepRunner,
+) -> SLOGoodputResult:
+    """Serve ``settings`` at each load fraction of ``load`` and read goodput."""
+    settings = with_default_cap(settings)
     variants = [
-        replace(settings, tenants=tenants_at(fraction, closed))
+        replace(settings, tenants=load.tenants_at(fraction))
         for fraction in load_fractions
     ]
-    sweep = runner.run_variants(cell, variants)
+    cells = runner.run_variants(load.cell, variants)
 
+    slos = load.slos
     slo_text = " ".join(
         f"{name}:ttft<={target.ttft_s:.3f}s,latency<={target.latency_s:.3f}s"
         for name, target in slos.items()
@@ -188,19 +207,19 @@ def run(
     result = SLOGoodputResult(
         figure="Fig. 23",
         description=(
-            f"Multi-tenant SLO goodput on {model} "
-            f"({'+'.join(t.name for t in closed)}; load relative to the "
-            f"closed-batch rate, {base_rate:.1f} req/s; {slo_text} @ goodput "
-            f"{next(iter(slos.values())).goodput_target:.0%})"
+            f"Multi-tenant SLO goodput on {load.model} "
+            f"({'+'.join(t.name for t in load.tenants)}; load relative to the "
+            f"closed-batch rate, {load.base_rate_per_s:.1f} req/s; {slo_text} @ "
+            f"goodput {next(iter(slos.values())).goodput_target:.0%})"
         ),
-        model=model,
+        model=load.model,
         tenant_slos=slos,
-        base_rate_per_s=base_rate,
+        base_rate_per_s=load.base_rate_per_s,
     )
-    for fraction, cell_results in zip(load_fractions, sweep):
+    for fraction, cell_results in zip(load_fractions, cells):
         run_result = cell_results[OUROBOROS_NAME]
         result.results[fraction] = run_result
-        for tenant in closed:
+        for tenant in load.tenants:
             stats = run_result.tenants[tenant.name]
             target = slos[tenant.name]
             met = stats.goodput is not None and stats.goodput >= target.goodput_target
@@ -213,9 +232,7 @@ def run(
                 {
                     "load": fraction,
                     "tenant": tenant.name,
-                    "arrival_rate_req_s": fraction
-                    * base_rate
-                    * (tenant.num_requests / total_requests),
+                    "arrival_rate_req_s": load.rate(fraction, tenant),
                     "goodput": stats.goodput,
                     "meets_slo": met,
                     "ttft_p99_s": stats.ttft.p99_s,
@@ -223,3 +240,17 @@ def run(
                 }
             )
     return result
+
+
+def run(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    model: str = "llama-13b",
+    tenants: tuple[TenantSpec, ...] | None = None,
+    load_fractions: tuple[float, ...] = DEFAULT_LOAD_FRACTIONS,
+    runner: SweepRunner | None = None,
+) -> SLOGoodputResult:
+    """Sweep per-tenant offered load against a TTFT / end-to-end SLO."""
+    runner = runner or SweepRunner()
+    tenants = tenants if tenants is not None else default_tenants(settings.num_requests)
+    load = anchor(settings, model, tenants, min(load_fractions), runner)
+    return sweep(load, settings, load_fractions, runner)

@@ -80,12 +80,6 @@ class PolicyComparisonResult(FigureResult):
     #: per policy: headline metrics at ``headline_load``
     headline: dict[str, dict[str, float]] = field(default_factory=dict)
 
-    def interactive_ttft_p95(self, policy: str) -> float:
-        return self.headline[policy]["interactive_ttft_p95_s"]
-
-    def aggregate_goodput(self, policy: str) -> float:
-        return self.headline[policy]["goodput"]
-
 
 def run(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
@@ -99,37 +93,21 @@ def run(
     runner = runner or SweepRunner()
     policies = tuple(validate_policy_name(policy) for policy in policies)
     if "fcfs" not in policies:
-        policies = ("fcfs",) + policies  # the anchor policy is mandatory
+        policies = ("fcfs",) + policies  # the baseline the others are read against
     tenants = (
         tenants if tenants is not None else default_policy_tenants(settings.num_requests)
     )
 
-    # The FCFS sweep doubles as the anchor: its closed-batch run defines the
-    # offered loads and its light-load run defines the per-tenant SLOs that
-    # every other policy is judged against.
-    anchor = fig23.run(
-        replace(settings, scheduling_policy="fcfs"),
-        model=model,
-        tenants=tenants,
-        load_fractions=load_fractions,
-        runner=runner,
-    )
-    slo_tenants = tuple(
-        replace(tenant, slo=anchor.tenant_slos[tenant.name]) for tenant in tenants
-    )
-
-    sweeps: dict[str, fig23.SLOGoodputResult] = {"fcfs": anchor}
-    for policy in policies:
-        if policy == "fcfs":
-            continue
-        sweeps[policy] = fig23.run(
-            replace(settings, scheduling_policy=policy),
-            model=model,
-            tenants=slo_tenants,
-            load_fractions=load_fractions,
-            runner=runner,
-            base_rate_per_s=anchor.base_rate_per_s,
+    # One FCFS anchor defines the offered loads and the per-tenant SLOs that
+    # every policy, FCFS included, is judged against.
+    fcfs = replace(settings, scheduling_policy="fcfs")
+    load = fig23.anchor(fcfs, model, tenants, min(load_fractions), runner)
+    sweeps = {
+        policy: fig23.sweep(
+            load, replace(settings, scheduling_policy=policy), load_fractions, runner
         )
+        for policy in policies
+    }
 
     # Admission order only matters when requests actually queue: at and
     # below the closed-batch rate the waiting queue is almost always short
@@ -144,12 +122,12 @@ def run(
             f"({'+'.join(t.name for t in tenants)}; policies "
             f"{'/'.join(policies)}; identical loads and SLOs from the FCFS "
             f"anchor, headline at {headline_load:g}x the closed-batch rate, "
-            f"{anchor.base_rate_per_s:.1f} req/s)"
+            f"{load.base_rate_per_s:.1f} req/s)"
         ),
         model=model,
         headline_load=headline_load,
-        tenant_slos=dict(anchor.tenant_slos),
-        base_rate_per_s=anchor.base_rate_per_s,
+        tenant_slos=load.slos,
+        base_rate_per_s=load.base_rate_per_s,
         results=sweeps,
     )
     # The first tenant is the latency-sensitive one whose TTFT tail the

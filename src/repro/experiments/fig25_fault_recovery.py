@@ -27,19 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..perf.sweep import SweepCell, SweepRunner
+from ..perf.sweep import SweepRunner
 from ..results import FaultStats, RunResult
 from ..sim.faults import FaultPlan, make_fault_plan
 from ..workload.generator import TenantSpec
 from ..workload.requests import SLOTarget
 from .common import DEFAULT_SETTINGS, OUROBOROS_NAME, ExperimentSettings, FigureResult
-from .fig23_slo_goodput import (
-    DEFAULT_GOODPUT_TARGET,
-    DEFAULT_LATENCY_FACTOR,
-    DEFAULT_MAX_ACTIVE,
-    DEFAULT_TTFT_FACTOR,
-    default_tenants,
-)
+from .fig23_slo_goodput import anchor, default_tenants, with_default_cap
 
 #: offered load as a fraction of the closed-batch service rate; the last
 #: fraction is well past saturation, which is where shedding earns its keep
@@ -113,50 +107,12 @@ def run(
 ) -> FaultRecoveryResult:
     """Sweep fault count x offered load, with and without overload shedding."""
     runner = runner or SweepRunner()
-    if settings.max_active_sequences is None:
-        settings = replace(settings, max_active_sequences=DEFAULT_MAX_ACTIVE)
+    settings = with_default_cap(settings)
     tenants = tenants if tenants is not None else default_tenants(settings.num_requests)
-    closed = tuple(replace(tenant, arrival_rate_per_s=0.0) for tenant in tenants)
-    total_requests = sum(tenant.num_requests for tenant in closed)
-    cell = SweepCell(model=model, workload="wikitext2", systems=())
-
-    # Anchor 1: the closed-batch run defines the service rate the load
-    # fractions scale (identical to the Fig. 23 anchor, so the cached cell is
-    # shared between the two figures).
-    batch_settings = replace(settings, tenants=closed, slo=None, arrival_rate_per_s=0.0)
-    batch = runner.run_variants(cell, [batch_settings])[0][OUROBOROS_NAME]
-    base_rate = total_requests / batch.total_time_s
-
-    def tenants_at(fraction: float, tenants: tuple[TenantSpec, ...]):
-        return tuple(
-            replace(
-                tenant,
-                arrival_rate_per_s=fraction
-                * base_rate
-                * (tenant.num_requests / total_requests),
-            )
-            for tenant in tenants
-        )
-
-    # Anchor 2: the lightest swept load, fault-free and SLO-free, defines each
-    # tenant's unloaded latency scale -- the same convention as Fig. 23.
-    light_fraction = min(load_fractions)
-    light = runner.run_variants(
-        cell, [replace(settings, tenants=tenants_at(light_fraction, closed))]
-    )[0][OUROBOROS_NAME]
-
-    def tenant_slo(tenant: TenantSpec) -> SLOTarget:
-        if tenant.slo is not None:
-            return tenant.slo
-        anchor = light.tenants[tenant.name]
-        return SLOTarget(
-            ttft_s=max(DEFAULT_TTFT_FACTOR * anchor.ttft.p95_s, 1e-9),
-            latency_s=max(DEFAULT_LATENCY_FACTOR * anchor.latency.p95_s, 1e-9),
-            goodput_target=DEFAULT_GOODPUT_TARGET,
-        )
-
-    closed = tuple(replace(tenant, slo=tenant_slo(tenant)) for tenant in closed)
-    slos = {tenant.name: tenant.slo for tenant in closed}
+    # Anchored exactly like Fig. 23 (the lightest load served fault-free), so
+    # the anchor cells are shared between the two figures.
+    load = anchor(settings, model, tenants, min(load_fractions), runner)
+    slos = load.slos
     tightest_ttft = min(target.ttft_s for target in slos.values())
     headroom_s = DEFAULT_HEADROOM_FRACTION * tightest_ttft
 
@@ -165,7 +121,7 @@ def run(
             return None
         # Spread the events across the run's arrival span so every load point
         # is stressed at the same relative phase.
-        horizon_s = total_requests / (fraction * base_rate)
+        horizon_s = load.num_requests / (fraction * load.base_rate_per_s)
         return make_fault_plan(
             count / horizon_s,
             horizon_s,
@@ -183,14 +139,14 @@ def run(
     variants = [
         replace(
             settings,
-            tenants=tenants_at(fraction, closed),
+            tenants=load.tenants_at(fraction),
             faults=fault_plan(count, fraction),
             shed_deadline=shed,
             shed_headroom_s=headroom_s if shed else 0.0,
         )
         for count, fraction, shed in points
     ]
-    sweep = runner.run_variants(cell, variants)
+    sweep = runner.run_variants(load.cell, variants)
 
     slo_text = " ".join(
         f"{name}:ttft<={target.ttft_s:.3f}s,latency<={target.latency_s:.3f}s"
@@ -200,14 +156,14 @@ def run(
         figure="Fig. 25",
         description=(
             f"Fault recovery and overload shedding on {model} "
-            f"({'+'.join(t.name for t in closed)}; load relative to the "
-            f"closed-batch rate, {base_rate:.1f} req/s; faults cycle "
+            f"({'+'.join(t.name for t in load.tenants)}; load relative to the "
+            f"closed-batch rate, {load.base_rate_per_s:.1f} req/s; faults cycle "
             f"{'/'.join(DEFAULT_FAULT_KINDS)}; shed headroom "
             f"{headroom_s * 1e3:.2f} ms; {slo_text})"
         ),
         model=model,
         tenant_slos=slos,
-        base_rate_per_s=base_rate,
+        base_rate_per_s=load.base_rate_per_s,
         shed_headroom_s=headroom_s,
     )
     for (count, fraction, shed), cell_results in zip(points, sweep):

@@ -61,14 +61,6 @@ class PreemptionResult(FigureResult):
     #: load, with the non-preemptive run of the same cell as the baseline
     headline: dict[str, float] = field(default_factory=dict)
 
-    def interactive_ttft_p95(
-        self, policy: str, max_active: int, preemptive: bool
-    ) -> float:
-        run_result = self.results[(policy, max_active, preemptive)].results[
-            self.headline_load
-        ]
-        return run_result.tenants["interactive"].ttft.p95_s
-
 
 def run(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
@@ -92,39 +84,29 @@ def run(
     # The FCFS anchor (non-preemptive, first swept cap) defines the offered
     # loads and per-tenant SLOs exactly as fig24 does, so the preemptive
     # numbers below are judged against the same deadlines as fig24's rows.
-    anchor = fig23.run(
-        replace(
-            settings,
-            scheduling_policy="fcfs",
-            max_active_sequences=anchor_cap,
-            preemptive=False,
-        ),
-        model=model,
-        tenants=tenants,
-        load_fractions=load_fractions,
-        runner=runner,
+    fcfs = replace(
+        settings,
+        scheduling_policy="fcfs",
+        max_active_sequences=anchor_cap,
+        preemptive=False,
     )
-    slo_tenants = tuple(
-        replace(tenant, slo=anchor.tenant_slos[tenant.name]) for tenant in tenants
-    )
-
-    sweeps: dict[tuple[str, int, bool], fig23.SLOGoodputResult] = {}
-    for policy in policies:
-        for cap in max_active_caps:
-            for preemptive in (False, True):
-                sweeps[(policy, cap, preemptive)] = fig23.run(
-                    replace(
-                        settings,
-                        scheduling_policy=policy,
-                        max_active_sequences=cap,
-                        preemptive=preemptive,
-                    ),
-                    model=model,
-                    tenants=slo_tenants,
-                    load_fractions=load_fractions,
-                    runner=runner,
-                    base_rate_per_s=anchor.base_rate_per_s,
-                )
+    load = fig23.anchor(fcfs, model, tenants, min(load_fractions), runner)
+    sweeps = {
+        (policy, cap, preemptive): fig23.sweep(
+            load,
+            replace(
+                settings,
+                scheduling_policy=policy,
+                max_active_sequences=cap,
+                preemptive=preemptive,
+            ),
+            load_fractions,
+            runner,
+        )
+        for policy in policies
+        for cap in max_active_caps
+        for preemptive in (False, True)
+    }
 
     headline_load = max(load_fractions)
     result = PreemptionResult(
@@ -136,12 +118,12 @@ def run(
             f"{'/'.join(str(c) for c in max_active_caps)} x preempt off/on; "
             f"loads and SLOs from the FCFS anchor, headline at "
             f"{headline_load:g}x the closed-batch rate, "
-            f"{anchor.base_rate_per_s:.1f} req/s)"
+            f"{load.base_rate_per_s:.1f} req/s)"
         ),
         model=model,
         headline_load=headline_load,
-        tenant_slos=dict(anchor.tenant_slos),
-        base_rate_per_s=anchor.base_rate_per_s,
+        tenant_slos=load.slos,
+        base_rate_per_s=load.base_rate_per_s,
         results=sweeps,
     )
     interactive_name = tenants[0].name

@@ -326,6 +326,21 @@ class TestFig24:
             assert sweep.base_rate_per_s == comparison.base_rate_per_s
             assert sweep.tenant_slos == comparison.tenant_slos
 
+    def test_fcfs_sweep_is_the_fig23_sweep(self, comparison):
+        """The FCFS rows are exactly fig23's rows on the policy mix: the
+        policy knobs are inert under fcfs and the anchor is the same."""
+        from repro.experiments import fig23_slo_goodput
+        from repro.experiments.fig24_policy_comparison import default_policy_tenants
+        from repro.perf.sweep import SweepRunner
+
+        fig23 = fig23_slo_goodput.run(
+            FAST,
+            tenants=default_policy_tenants(FAST.num_requests),
+            load_fractions=(0.25, 4.0),
+            runner=SweepRunner(max_workers=1),
+        )
+        assert comparison.results["fcfs"].rows() == fig23.rows()
+
     def test_headline_read_at_heaviest_load(self, comparison):
         assert comparison.headline_load == 4.0
         for policy in ("fcfs", "wfq", "priority"):
@@ -342,6 +357,60 @@ class TestFig24:
             assert by_key[(policy, 0.25)]["interactive_ttft_p95_s"] == pytest.approx(
                 by_key[("fcfs", 0.25)]["interactive_ttft_p95_s"]
             )
+
+
+class TestFig25:
+    @pytest.fixture(scope="class")
+    def recovery(self):
+        from repro.experiments import fig25_fault_recovery
+        from repro.perf.sweep import SweepRunner
+
+        return fig25_fault_recovery.run(
+            FAST,
+            model="llama-13b",
+            load_fractions=(0.5, 4.0),
+            runner=SweepRunner(max_workers=1),
+        )
+
+    def test_rows_cover_faults_loads_and_shedding(self, recovery):
+        keys = [(row["faults"], row["load"], row["shed"]) for row in recovery.rows()]
+        assert keys == [
+            (faults, load, shed)
+            for faults in (0, 4)
+            for load in (0.5, 4.0)
+            for shed in (False, True)
+        ]
+        assert "Fig. 25" in recovery.format_table()
+
+    def test_faults_injected_only_on_faulty_rows(self, recovery):
+        for row in recovery.rows():
+            assert row["injected"] == (4 if row["faults"] else 0)
+
+    def test_shedding_inert_at_light_load(self, recovery):
+        by_key = {
+            (row["faults"], row["load"], row["shed"]): row for row in recovery.rows()
+        }
+        for faults in (0, 4):
+            on, off = by_key[(faults, 0.5, True)], by_key[(faults, 0.5, False)]
+            assert on["shed_requests"] == 0
+            assert on["goodput"] == off["goodput"]
+
+    def test_headroom_below_every_ttft_deadline(self, recovery):
+        tightest = min(slo.ttft_s for slo in recovery.tenant_slos.values())
+        assert 0 < recovery.shed_headroom_s < tightest
+
+    def test_anchored_exactly_like_fig23(self, recovery):
+        from repro.experiments import fig23_slo_goodput
+        from repro.perf.sweep import SweepRunner
+
+        fig23 = fig23_slo_goodput.run(
+            FAST,
+            model="llama-13b",
+            load_fractions=(0.5, 4.0),
+            runner=SweepRunner(max_workers=1),
+        )
+        assert recovery.base_rate_per_s == fig23.base_rate_per_s
+        assert recovery.tenant_slos == fig23.tenant_slos
 
 
 class TestFig26:
