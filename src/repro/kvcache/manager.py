@@ -10,15 +10,28 @@ allocation as the sequence's context expands.
 
 Address translation is three-level (Fig. 12): a per-block page table maps the
 sequence to per-head core coordinates; each core's bitmap maps the sequence to
-logical blocks; each crossbar's free-block table tracks valid rows.  For
-simulation speed the manager keeps the block occupancy in vectorised per-core
-counters plus O(1) running totals (free/healthy block counts are maintained
-incrementally, never recomputed by scanning the core arrays), and the ring
-selection of admission cores is a handful of vectorised index operations.
-The page tables are materialised exactly, as one core matrix per sequence
+logical blocks; each crossbar's free-block table tracks valid rows.  The page
+tables are materialised exactly, as one core matrix per sequence
 (:class:`~repro.kvcache.pagetable.PageTableStore`): nothing on the serving
 path reads them back, but they are the placement record that inspection,
 tests and checkpoints see.
+
+Occupancy has two forms.  When every group has the same size and the groups
+tile a prefix of the cores, the usual layout, an admission that finds every
+core above the reservation threshold is *ring-placed*: the shared ring pointer
+``p`` puts head ``h`` at offset ``(p + h) mod size`` of every group, so the
+sequence has the same per-core pattern in every group.  Ring-placed blocks are
+counted per ring offset (``_ring_used``, one entry per offset, a few dozen to
+a few hundred entries), and admission, growth, release and the fit checks
+work on that vector and the allocation's row of ``_ring_counts``.  Every other
+allocation (placed by the per-group walk past near-full or failed cores, or
+restored from a checkpoint) keeps a dense per-core slot vector, summed into
+``_free_blocks``.  The free count of core ``c`` is ``_free_blocks[c]`` minus
+``_ring_used`` at its offset; the per-core vector is built only for the walk,
+snapshots and mixed states.  The first failed core turns every ring
+allocation dense and ends ring placement.  A checkpoint restores every
+allocation dense; new admissions are ring-placed again alongside them.  Free
+and healthy block totals are O(1) running counters.
 
 Growth has two forms.  :meth:`DistributedKVCacheManager.append_tokens` grows
 one sequence; :meth:`DistributedKVCacheManager.grow_batch` grows a whole
@@ -69,32 +82,21 @@ class KVCacheStats:
 class _SequenceAllocation:
     """Internal record of one resident sequence's KV allocation.
 
-    ``slots[c]`` is the number of (block, head, K/V) slots the sequence holds
-    on local core *c*, one entry per KV core: growth, release and fit checks
-    are then contiguous whole-array operations, which beat fancy indexing
-    even when a sequence touches only a third of the cores.  The sparse form
-    (:attr:`unique_cores`, :attr:`unique_counts`) is what checkpoints store.
+    Exactly one of ``ring`` and ``slots`` is set.  A ring-placed allocation
+    holds ``ring[o]`` (block, head, K/V) slots on the core at ring offset
+    *o* of every group -- a read-only row of the manager's ring-count table.
+    Any other allocation holds ``slots[c]`` slots on local core *c*, one
+    entry per KV core.  Every slot holds ``blocks_per_slot`` blocks.
     """
 
     sequence_id: int
-    slots: npt.NDArray[np.int64]
+    ring: npt.NDArray[np.int64] | None
+    slots: npt.NDArray[np.int64] | None
     blocks_per_slot: int
     tokens: int
-    #: sum and maximum of ``slots`` (fixed for the allocation's life)
+    #: total slots, and the most on any one core (fixed for the allocation's life)
     total_slots: int
     max_slots_per_core: int
-
-    @property
-    def unique_cores(self) -> npt.NDArray[np.int64]:
-        """Local indices of the cores the sequence touches, ascending."""
-        # astype(copy=False) is a no-op view (intp == int64 on this
-        # platform); it only pins the static type.
-        return np.flatnonzero(self.slots).astype(np.int64, copy=False)
-
-    @property
-    def unique_counts(self) -> npt.NDArray[np.int64]:
-        """Slots held on each of :attr:`unique_cores`."""
-        return self.slots[self.unique_cores]
 
 
 class DistributedKVCacheManager(TenantQuotaLedger):
@@ -197,6 +199,25 @@ class DistributedKVCacheManager(TenantQuotaLedger):
                 [ring, np.repeat(ring[:, :1], heads - width, axis=1)], axis=1
             )
 
+        # Ring-offset occupancy needs equal groups that tile a prefix of the
+        # cores: core c < _ring_span then sits at ring offset c % size.
+        # _ring_counts[p, o] is how many heads a ring admission at pointer p
+        # puts on offset o (2 at o == p when padded heads double up).
+        self._ring_counts: npt.NDArray[np.int64] | None = None
+        self._ring_span = 0
+        self._ring_used = np.zeros(0, dtype=np.int64)
+        if self._ring_table is not None and isinstance(self._grouped_cores, slice):
+            size = sizes[0]
+            counts = np.zeros((size, size), dtype=np.int64)
+            np.add.at(counts, (np.arange(size)[:, None], self._ring_table), 1)
+            counts.flags.writeable = False  # allocations share its rows
+            self._ring_counts = counts
+            self._ring_span = len(concat)
+            self._ring_used = np.zeros(size, dtype=np.int64)
+        #: resident allocations of each form
+        self._ring_resident = 0
+        self._dense_resident = 0
+
     # ------------------------------------------------------------------ sizing
 
     @property
@@ -257,12 +278,15 @@ class DistributedKVCacheManager(TenantQuotaLedger):
 
     # -------------------------------------------------------------- allocation
 
-    def _select_cores(self, group: list[int], pointer: int, count: int) -> list[int] | None:
+    def _select_cores(
+        self, group: list[int], pointer: int, count: int, free: npt.NDArray[np.int64]
+    ) -> list[int] | None:
         """Pick ``count`` cores from a ring group starting at ``pointer``.
 
-        Cores whose free space is below the reservation threshold (or that have
-        failed) are skipped for *new* allocations; if fewer than ``count``
-        usable cores exist, cores may be reused for several heads.
+        Cores whose free space (``free``, per core) is below the reservation
+        threshold (or that have failed) are skipped for *new* allocations; if
+        fewer than ``count`` usable cores exist, cores may be reused for
+        several heads.
         """
         threshold_blocks = self._threshold_blocks
         usable: list[int] = []
@@ -271,7 +295,7 @@ class DistributedKVCacheManager(TenantQuotaLedger):
             local = group[(pointer + offset) % size]
             if self.kv_core_ids[local] in self._failed_cores:
                 continue
-            if self._free_blocks[local] <= threshold_blocks:
+            if free[local] <= threshold_blocks:
                 continue
             usable.append(local)
             if len(usable) == count:
@@ -320,11 +344,27 @@ class DistributedKVCacheManager(TenantQuotaLedger):
                 self.last_failure_quota_bound = True
                 return False
 
-        selection: npt.NDArray[np.int64] | None = None
+        if self._ring_counts is not None and not self._failed_cores:
+            headroom = self._ring_headroom()
+            if int(headroom.min()) > self._threshold_blocks:
+                # Every core of every group is usable: pure ring arithmetic,
+                # checked and charged per ring offset.
+                selection = self._select_all_blocks_fast()
+                if selection is not None:
+                    ring = self._ring_counts[int(self._ring_pointers[0])]
+                    if bool((headroom < ring).any()):
+                        self.stats.failed_admissions += 1
+                        return False
+                    self._ring_used += ring
+                    self._ring_resident += 1
+                    self._commit_admission(sequence, selection, ring, None)
+                    return True
+
+        free = self._core_free()
+        selection = None
         if not self._failed_cores:
-            group_free = self._free_blocks[self._grouped_cores]
+            group_free = free[self._grouped_cores]
             if group_free.min() > self._threshold_blocks:
-                # Every core of every group is usable: pure ring arithmetic.
                 selection = self._select_all_blocks_fast()
             else:
                 maxes = np.maximum.reduceat(group_free, self._group_offsets)
@@ -338,8 +378,8 @@ class DistributedKVCacheManager(TenantQuotaLedger):
             rows: list[list[int]] = []
             for block in range(num_blocks):
                 pointer = int(self._ring_pointers[block])
-                k_cores = self._select_cores(self._k_groups[block], pointer, heads)
-                v_cores = self._select_cores(self._v_groups[block], pointer, heads)
+                k_cores = self._select_cores(self._k_groups[block], pointer, heads, free)
+                v_cores = self._select_cores(self._v_groups[block], pointer, heads, free)
                 if k_cores is None or v_cores is None:
                     self.stats.failed_admissions += 1
                     return False
@@ -352,28 +392,41 @@ class DistributedKVCacheManager(TenantQuotaLedger):
         counts = np.bincount(selection.ravel(), minlength=self.num_kv_cores).astype(
             np.int64, copy=False
         )
-        if bool((self._free_blocks < counts).any()):
+        if bool((free < counts).any()):
             self.stats.failed_admissions += 1
             return False
-
         self._free_blocks -= counts
+        self._dense_resident += 1
+        self._commit_admission(sequence, selection, None, counts)
+        return True
+
+    def _commit_admission(
+        self,
+        sequence: Sequence,
+        selection: npt.NDArray[np.int64],
+        ring: npt.NDArray[np.int64] | None,
+        slots: npt.NDArray[np.int64] | None,
+    ) -> None:
+        """Record an admission whose per-core occupancy is already charged."""
         total_reserved = int(selection.size)
         self._free_total -= total_reserved
         self._charge_tenant(sequence.tenant, total_reserved)
-        self._allocations[sequence_id] = _SequenceAllocation(
-            sequence_id=sequence_id,
-            slots=counts,
+        placed = ring if ring is not None else slots
+        assert placed is not None
+        self._allocations[sequence.sequence_id] = _SequenceAllocation(
+            sequence_id=sequence.sequence_id,
+            ring=ring,
+            slots=slots,
             blocks_per_slot=1,
             tokens=0,
             total_slots=total_reserved,
-            max_slots_per_core=int(counts.max()),
+            max_slots_per_core=int(placed.max()),
         )
-        self._page_tables.register(sequence_id, self._core_ids_array[selection])
-        self._ring_pointers = (self._ring_pointers + heads) % self._ring_sizes
+        self._page_tables.register(sequence.sequence_id, self._core_ids_array[selection])
+        self._ring_pointers = (self._ring_pointers + self.arch.kv_heads) % self._ring_sizes
         self.stats.admitted_sequences += 1
         self.stats.allocated_blocks += total_reserved
         self._update_peak()
-        return True
 
     def append_tokens(self, sequence: Sequence, count: int = 1) -> bool:
         """Reserve KV space for ``count`` more tokens of a resident sequence."""
@@ -395,15 +448,23 @@ class DistributedKVCacheManager(TenantQuotaLedger):
                 self.stats.quota_blocked_growths += 1
                 self.last_failure_quota_bound = True
                 return False
-            required = allocation.slots * delta
-            if bool((self._free_blocks < required).any()):
-                self.stats.failed_growths += 1
-                return False
-            self._free_blocks -= required
+            if allocation.ring is not None:
+                required = allocation.ring * delta
+                if bool((self._ring_headroom() < required).any()):
+                    self.stats.failed_growths += 1
+                    return False
+                self._ring_used += required
+            else:
+                assert allocation.slots is not None
+                required = allocation.slots * delta
+                if bool((self._core_free() < required).any()):
+                    self.stats.failed_growths += 1
+                    return False
+                self._free_blocks -= required
+                if self._failed_cores:
+                    self._free_on_failed -= self._sum_on_failed(allocation, delta)
             self._free_total -= total_required
             self._charge_tenant(sequence.tenant, total_required)
-            if self._failed_cores:
-                self._free_on_failed -= self._sum_on_failed(allocation, delta)
             allocation.blocks_per_slot = needed
             self.stats.allocated_blocks += total_required
             # Only an allocating growth can raise the used count.
@@ -426,7 +487,7 @@ class DistributedKVCacheManager(TenantQuotaLedger):
 
         * no core has failed;
         * the least free core has room for the worst case of every growing
-          row landing on it, ``sum(max(unique_counts) * new blocks per
+          row landing on it, ``sum(max slots per core * new blocks per
           slot)``; and
         * no capped tenant's holding plus all its rows' growth exceeds its
           cap.
@@ -461,7 +522,7 @@ class DistributedKVCacheManager(TenantQuotaLedger):
             worst = sum(
                 batch[row].max_slots_per_core * int(deltas[row]) for row in crossing
             )
-            if worst > int(self._free_blocks.min()):
+            if worst > self._min_free():
                 return False
         caps = self._tenant_quota_blocks
         if caps:
@@ -494,7 +555,11 @@ class DistributedKVCacheManager(TenantQuotaLedger):
             allocation = batch[row]
             delta = int(deltas[row])
             # Most growths add one block per slot: skip the multiply.
-            self._free_blocks -= allocation.slots if delta == 1 else allocation.slots * delta
+            if allocation.ring is not None:
+                self._ring_used += allocation.ring if delta == 1 else allocation.ring * delta
+            else:
+                assert allocation.slots is not None
+                self._free_blocks -= allocation.slots if delta == 1 else allocation.slots * delta
             allocation.blocks_per_slot = int(needed[row])
             self._charge_tenant(sequences[row].tenant, blocks)
         allocated = sum(new_blocks.values())
@@ -510,25 +575,91 @@ class DistributedKVCacheManager(TenantQuotaLedger):
         allocation = self._allocations.pop(sequence.sequence_id, None)
         if allocation is None:
             return
-        self._free_blocks += allocation.slots * allocation.blocks_per_slot
+        if allocation.ring is not None:
+            self._ring_used -= allocation.ring * allocation.blocks_per_slot
+            self._ring_resident -= 1
+        else:
+            assert allocation.slots is not None
+            self._free_blocks += allocation.slots * allocation.blocks_per_slot
+            self._dense_resident -= 1
+            if self._failed_cores:
+                self._free_on_failed += self._sum_on_failed(
+                    allocation, allocation.blocks_per_slot
+                )
         returned = allocation.total_slots * allocation.blocks_per_slot
         self._free_total += returned
         self._charge_tenant(sequence.tenant, -returned)
-        if self._failed_cores:
-            self._free_on_failed += self._sum_on_failed(
-                allocation, allocation.blocks_per_slot
-            )
         self._page_tables.remove(sequence.sequence_id)
         self.stats.released_sequences += 1
         self.stats.released_blocks += returned
 
     def _sum_on_failed(self, allocation: _SequenceAllocation, per_slot: int) -> int:
-        """Blocks of an allocation delta that land on failed cores."""
+        """Blocks of a dense allocation delta that land on failed cores."""
+        assert allocation.slots is not None
         failed_locals = [
             self._core_index[core_id]
             for core_id in sorted(self._failed_cores)
         ]
         return int(allocation.slots[failed_locals].sum()) * per_slot
+
+    # --------------------------------------------------------------- occupancy
+
+    def _core_free(self) -> npt.NDArray[np.int64]:
+        """Free blocks per KV core: ``_free_blocks`` itself (not a copy) while
+        no ring allocation is resident."""
+        if not self._ring_resident:
+            return self._free_blocks
+        free = self._free_blocks.copy()
+        grouped = free[: self._ring_span].reshape(-1, len(self._ring_used))
+        grouped -= self._ring_used
+        return free
+
+    def _ring_headroom(self) -> npt.NDArray[np.int64]:
+        """Least free blocks at each ring offset, over all groups."""
+        if self._dense_resident:
+            grouped = self._free_blocks[: self._ring_span].reshape(-1, len(self._ring_used))
+            return grouped.min(axis=0) - self._ring_used
+        # With no dense allocation resident every grouped core has
+        # blocks_per_core minus its ring offset's use.
+        return self.blocks_per_core - self._ring_used
+
+    def _min_free(self) -> int:
+        """Free blocks on the least free KV core."""
+        if not self._ring_resident:
+            return int(self._free_blocks.min())
+        # Cores past the ring span belong to no group, so they are never
+        # allocated and are never the least free.
+        return int(self._ring_headroom().min())
+
+    def _placement(
+        self, allocation: _SequenceAllocation
+    ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+        """Local indices of the cores an allocation touches (ascending) and
+        the slots it holds on each."""
+        if allocation.slots is not None:
+            # astype(copy=False) is a no-op view (intp == int64 on this
+            # platform); it only pins the static type.
+            cores = np.flatnonzero(allocation.slots).astype(np.int64, copy=False)
+            return cores, allocation.slots[cores]
+        assert allocation.ring is not None
+        offsets = np.flatnonzero(allocation.ring)
+        starts = np.arange(0, self._ring_span, len(self._ring_used))
+        cores = (starts[:, None] + offsets[None, :]).ravel().astype(np.int64, copy=False)
+        return cores, np.tile(allocation.ring[offsets], len(starts))
+
+    def _densify(self) -> None:
+        """Turn every ring allocation into a dense per-core slot vector."""
+        self._free_blocks = self._core_free()
+        for allocation in self._allocations.values():
+            if allocation.ring is not None:
+                slots = np.zeros(self.num_kv_cores, dtype=np.int64)
+                cores, counts = self._placement(allocation)
+                slots[cores] = counts
+                allocation.slots = slots
+                allocation.ring = None
+        self._dense_resident += self._ring_resident
+        self._ring_resident = 0
+        self._ring_used[:] = 0
 
     # ---------------------------------------------------------------- failures
 
@@ -540,16 +671,13 @@ class DistributedKVCacheManager(TenantQuotaLedger):
         """
         if core_id not in self._core_index:
             raise KVCacheError(f"core {core_id} is not a KV core")
+        if self._ring_resident:
+            self._densify()
         local = self._core_index[core_id]
         if core_id not in self._failed_cores:
             self._free_on_failed += int(self._free_blocks[local])
         self._failed_cores.add(core_id)
-        affected = [
-            allocation.sequence_id
-            for allocation in self._allocations.values()
-            if allocation.slots[local] > 0
-        ]
-        return affected
+        return self.sequences_on_core(core_id)
 
     @property
     def failed_cores(self) -> set[int]:
@@ -568,32 +696,43 @@ class DistributedKVCacheManager(TenantQuotaLedger):
         return [
             allocation.sequence_id
             for allocation in self._allocations.values()
-            if allocation.slots[local] > 0
+            if self._holds(allocation, local)
         ]
+
+    def _holds(self, allocation: _SequenceAllocation, local: int) -> bool:
+        """Whether an allocation has at least one slot on local core ``local``."""
+        if allocation.slots is not None:
+            return bool(allocation.slots[local] > 0)
+        assert allocation.ring is not None
+        size = len(self._ring_used)
+        return local < self._ring_span and bool(allocation.ring[local % size] > 0)
 
     # -------------------------------------------------------------- checkpoint
 
     def snapshot_state(self) -> dict[str, Any]:
         """JSON-able occupancy state for a bit-for-bit checkpoint.
 
-        Derived vectorised state (group arrays/matrices, running caches) is
-        rebuilt by ``__init__`` deterministically from the configuration and
-        is deliberately not part of the snapshot.
+        Derived vectorised state (group arrays/matrices, ring-offset
+        occupancy, running caches) is rebuilt by ``__init__`` and
+        :meth:`restore_state` deterministically and is deliberately not part
+        of the snapshot: every allocation is stored as its per-core
+        placement.
         """
+        allocations = []
+        for allocation in self._allocations.values():
+            cores, counts = self._placement(allocation)
+            allocations.append([
+                allocation.sequence_id,
+                {
+                    "cores": cores.tolist(),
+                    "counts": counts.tolist(),
+                    "blocks_per_slot": allocation.blocks_per_slot,
+                    "tokens": allocation.tokens,
+                },
+            ])
         return {
-            "free_blocks": self._free_blocks.tolist(),
-            "allocations": [
-                [
-                    allocation.sequence_id,
-                    {
-                        "cores": allocation.unique_cores.tolist(),
-                        "counts": allocation.unique_counts.tolist(),
-                        "blocks_per_slot": allocation.blocks_per_slot,
-                        "tokens": allocation.tokens,
-                    },
-                ]
-                for allocation in self._allocations.values()
-            ],
+            "free_blocks": self._core_free().tolist(),
+            "allocations": allocations,
             "ring_pointers": self._ring_pointers.tolist(),
             "page_tables": self._page_tables.snapshot_state(),
             "failed_cores": sorted(self._failed_cores),
@@ -604,6 +743,7 @@ class DistributedKVCacheManager(TenantQuotaLedger):
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
+        """Restore a :meth:`snapshot_state`; every allocation comes back dense."""
         self._free_blocks = np.asarray(state["free_blocks"], dtype=np.int64)
         self._allocations = {}
         for sequence_id, data in state["allocations"]:
@@ -611,12 +751,16 @@ class DistributedKVCacheManager(TenantQuotaLedger):
             slots[np.asarray(data["cores"], dtype=np.int64)] = data["counts"]
             self._allocations[sequence_id] = _SequenceAllocation(
                 sequence_id=sequence_id,
+                ring=None,
                 slots=slots,
                 blocks_per_slot=data["blocks_per_slot"],
                 tokens=data["tokens"],
                 total_slots=int(slots.sum()),
                 max_slots_per_core=int(slots.max()),
             )
+        self._ring_used[:] = 0
+        self._ring_resident = 0
+        self._dense_resident = len(self._allocations)
         self._ring_pointers = np.asarray(state["ring_pointers"], dtype=np.int64)
         self._page_tables.restore_state(state["page_tables"])
         self._failed_cores = set(state["failed_cores"])

@@ -721,6 +721,42 @@ class TestCheckpointResume:
         baseline, _ = self._suspend_resume(build, method, trace_fn, suspend_at=5)
         assert sum(t.preemptions for t in baseline.tenants.values()) > 0
 
+    def test_resume_with_ring_residents_then_kv_core_fault(
+        self, tiny_arch, small_wafer_config
+    ):
+        """A checkpoint taken while ring-placed sequences are resident resumes
+        into a run whose later ``kv_core`` fault must see the same occupancy
+        as the uninterrupted fast and scalar runs."""
+        import json
+
+        from repro.pipeline.checkpoint import EngineCheckpoint
+        from repro.sim.faults import FaultPlan
+
+        plan = FaultPlan.parse("kv_core@0.004:0")
+
+        def build():
+            return build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config,
+                                "dynamic", scheduling_policy="wfq",
+                                max_active=2, preemptive=True)
+
+        fast = build().run(staggered_preemption_trace(), fault_plan=plan)
+        scalar = build().run_scalar(staggered_preemption_trace(), fault_plan=plan)
+        checkpoint = build().run(
+            staggered_preemption_trace(), fault_plan=plan, suspend_at_epoch=12
+        )
+        assert isinstance(checkpoint, EngineCheckpoint)
+        assert checkpoint.time_s < 0.004 and checkpoint.kv["allocations"]
+        restored = EngineCheckpoint.from_dict(json.loads(json.dumps(checkpoint.as_dict())))
+        resumed = build().run(
+            staggered_preemption_trace(), fault_plan=plan, resume_from=restored
+        )
+        assert fast.faults.recovered_sequences == 1  # the fault hit a resident
+        for other in (scalar, resumed):
+            assert_bitwise_equal(fast, other)
+            assert fast.faults.as_dict() == other.faults.as_dict()
+            for name in fast.tenants:
+                assert fast.tenants[name].as_dict() == other.tenants[name].as_dict()
+
     def test_suspend_past_end_returns_result(self, tiny_arch, small_wafer_config):
         """A suspend epoch the run never reaches degrades to a normal run."""
         build = build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config,

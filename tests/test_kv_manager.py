@@ -239,10 +239,11 @@ class TestRingSelectionEquivalence:
         heads = tiny_arch.kv_heads
         assert heads > len(manager._k_groups[0])
         fast = manager._select_all_blocks_fast()
+        free = manager.snapshot_state()["free_blocks"]
         for block in range(tiny_arch.num_blocks):
             pointer = manager._ring_pointers[block]
-            walk_k = manager._select_cores(manager._k_groups[block], pointer, heads)
-            walk_v = manager._select_cores(manager._v_groups[block], pointer, heads)
+            walk_k = manager._select_cores(manager._k_groups[block], pointer, heads, free)
+            walk_v = manager._select_cores(manager._v_groups[block], pointer, heads, free)
             assert fast[2 * block].tolist() == walk_k
             assert fast[2 * block + 1].tolist() == walk_v
 
@@ -250,10 +251,39 @@ class TestRingSelectionEquivalence:
         manager.try_admit(make_sequence(0))  # advances every ring pointer
         heads = tiny_arch.kv_heads
         fast = manager._select_all_blocks_fast()
+        free = manager.snapshot_state()["free_blocks"]
         for block in range(tiny_arch.num_blocks):
             pointer = manager._ring_pointers[block]
-            walk_k = manager._select_cores(manager._k_groups[block], pointer, heads)
+            walk_k = manager._select_cores(manager._k_groups[block], pointer, heads, free)
             assert fast[2 * block].tolist() == walk_k
+
+
+class TestRingOffsetOccupancy:
+    def test_padded_head_needs_two_blocks_at_the_pointer(self, tiny_arch):
+        # 12 cores / 4 groups -> 3 cores per group < 4 heads: the pointer's
+        # own offset takes two slots.  After three admissions every core has
+        # one block left, so the fourth (two at offset 0) must not fit.
+        manager = DistributedKVCacheManager(
+            tiny_arch, kv_core_ids=list(range(12)), blocks_per_core=5
+        )
+        for seq_id in range(3):
+            assert manager.try_admit(make_sequence(seq_id))
+        assert manager.snapshot_state()["free_blocks"] == [1] * 12
+        assert not manager.try_admit(make_sequence(3))
+        assert manager.stats.failed_admissions == 1
+        assert manager.used_blocks == 3 * 2 * tiny_arch.num_blocks * tiny_arch.kv_heads
+
+    def test_failure_densifies_ring_allocations(self, manager):
+        for seq_id in range(3):
+            assert manager.try_admit(make_sequence(seq_id))
+        before = manager.snapshot_state()
+        core = manager.page_tables[0].cores_of(1)[0]
+        assert manager.fail_core(core) == manager.sequences_on_core(core)
+        after = manager.snapshot_state()
+        assert after["free_blocks"] == before["free_blocks"]
+        assert after["allocations"] == before["allocations"]
+        assert manager._ring_resident == 0
+        assert manager._dense_resident == 3
 
 
 class TestThreshold:
@@ -454,3 +484,77 @@ class TestTenantQuotas:
         manager.release(seq)
         assert manager.tenant_used_blocks("batch") == 0
         assert manager.try_admit(make_sequence(2, tenant="batch"))
+
+
+class TestCheckpointStability:
+    """The checkpoint JSON of a fixed KV script is pinned byte for byte.
+
+    The script runs on llama-13b's KV geometry (10,799 cores, 80 groups of
+    134, 40 heads) with a reservation threshold, so it passes through pure
+    ring placement, a mixed state where near-full cores force the per-group
+    walk next to ring-placed residents, and a failed core.  The digests were
+    taken from the dense per-core implementation; any change to how the
+    manager stores occupancy must leave the snapshot unchanged.
+    """
+
+    DIGESTS = [
+        "c59f47ef9960e32563eae36472c550a69c7cd8ce262066c16d94a40ef3fd7ee2",
+        "6de9b76ec3500e86caa2c350ecb442b9f9aa1fbf01919071a8065b80a4671933",
+        "5a9e5f097a75d1d8a2d3b06b26489edbbc1cc2823ca9733e3fc8312cbc56042c",
+    ]
+
+    @staticmethod
+    def _digest(manager):
+        import hashlib
+        import json
+
+        text = json.dumps(manager.snapshot_state(), sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_snapshot_digests_are_pinned(self):
+        from repro.models.architectures import get_model
+
+        manager = DistributedKVCacheManager(
+            get_model("llama-13b"), list(range(10_799)), blocks_per_core=16,
+            threshold=0.25,
+        )
+        per_block = manager.tokens_per_block
+        walks = []
+        walk = manager._select_cores
+        manager._select_cores = lambda *args: walks.append(1) or walk(*args)
+        resident = {}
+
+        def admit(seq_id, grow):
+            sequence = make_sequence(seq_id, prefill=2048)
+            if manager.try_admit(sequence):
+                resident[seq_id] = sequence
+                manager.append_tokens(sequence, grow)
+
+        digests = []
+        for seq_id in range(6):
+            admit(seq_id, 0)
+        for seq_id in (0, 2, 4):
+            assert manager.append_tokens(resident[seq_id], 2 * per_block + 1)
+        manager.release(resident.pop(1))
+        digests.append(self._digest(manager))
+        assert not walks  # pure ring placement so far
+
+        for seq_id in range(6, 60):
+            admit(seq_id, 2 * per_block)
+        for seq_id in list(resident)[::3]:
+            manager.release(resident.pop(seq_id))
+        for seq_id in range(60, 70):
+            admit(seq_id, per_block + 1)
+        digests.append(self._digest(manager))
+        assert walks  # near-full cores forced the walk next to ring residents
+
+        victim = manager.page_tables[0].cores_of(min(resident))[0]
+        assert manager.fail_core(victim) == [2, 5, 8, 12, 15, 18]
+        for seq_id in list(resident)[::2]:
+            manager.release(resident.pop(seq_id))
+        for seq_id in range(70, 74):
+            admit(seq_id, per_block + 1)
+        for sequence in resident.values():
+            manager.append_tokens(sequence, per_block)
+        digests.append(self._digest(manager))
+        assert digests == self.DIGESTS

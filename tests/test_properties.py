@@ -209,12 +209,144 @@ def test_kv_manager_block_conservation(ops):
 
 
 @st.composite
+def occupancy_scripts(draw):
+    """A random KV geometry plus a random script of manager operations.
+
+    Group sizes above, at and below the head count (the padded case), a
+    core count below the group count (groups share cores, so no ring-offset
+    occupancy), and a walk-only manager: the constructor always builds groups
+    of one size, so the geometry without a group matrix is reached by
+    clearing the derived ring tables.  Small, sometimes reserved cores force
+    the per-group walk next to ring-placed residents.
+    """
+    heads = draw(st.sampled_from([2, 4]))
+    num_blocks = draw(st.integers(1, 2))
+    arch = ModelArch(
+        name="prop", num_blocks=num_blocks, hidden_size=64 * heads, num_heads=heads,
+        ffn_hidden_size=512, vocab_size=1000, max_context=512,
+    )
+    groups = 2 * num_blocks
+    if draw(st.integers(0, 5)) == 0:
+        num_cores = draw(st.integers(1, groups - 1)) if groups > 1 else 1
+    else:
+        size = max(1, heads + draw(st.sampled_from([2, 1, 0, -1, 3])))
+        num_cores = groups * size + draw(st.integers(0, 2))
+    geometry = dict(
+        arch=arch, num_cores=num_cores,
+        blocks_per_core=draw(st.sampled_from([2, 3, 1, 4, 5, 8])),
+        threshold=draw(st.sampled_from([0.0, 0.0, 0.25, 0.5])),
+        walk_only=draw(st.integers(0, 5)) == 0,
+    )
+    tenant = st.sampled_from(["a", "b"])
+    admit = st.tuples(st.just("admit"), st.integers(0, 7), tenant)
+    warmup = [("admit", seq_id, draw(tenant)) for seq_id in range(draw(st.integers(0, 5)))]
+    ops = warmup + draw(st.lists(
+        st.one_of(
+            admit, admit,
+            st.tuples(st.just("grow"), st.integers(0, 7), st.integers(0, 300)),
+            st.tuples(st.just("release"), st.integers(0, 7)),
+            st.tuples(st.just("batch"), st.lists(st.integers(0, 200), min_size=8, max_size=8)),
+            st.tuples(st.just("fail"), st.integers(0, num_cores - 1)),
+        ),
+        min_size=5, max_size=40,
+    ).filter(lambda ops: sum(op[0] == "fail" for op in ops) <= 1))
+    return geometry, ops
+
+
+def occupancy_manager(arch, num_cores, blocks_per_core, threshold, walk_only, ring):
+    manager = DistributedKVCacheManager(
+        arch, kv_core_ids=list(range(num_cores)), blocks_per_core=blocks_per_core,
+        threshold=threshold,
+    )
+    manager.set_tenant_quotas({"b": 0.5})
+    if walk_only:
+        manager._group_matrix = manager._ring_table = None
+    if walk_only or not ring:
+        manager._ring_counts = None
+    return manager
+
+
+def assert_occupancy_oracle(manager, tokens):
+    """Occupancy agrees with the page tables and the caller's token ledger."""
+    state = manager.snapshot_state()
+    per_block = manager.tokens_per_block
+    held = np.zeros(manager.num_kv_cores, dtype=np.int64)
+    for (seq_id, data) in state["allocations"]:
+        matrix = [
+            [core for placement in table.lookup(seq_id)
+             for core in (placement.k_core, placement.v_core)]
+            for table in manager.page_tables
+        ]
+        counts = np.bincount(np.ravel(matrix), minlength=manager.num_kv_cores)
+        assert data["cores"] == np.flatnonzero(counts).tolist()
+        assert data["counts"] == counts[counts > 0].tolist()
+        blocks_per_slot = max(1, math.ceil(tokens[seq_id] / per_block))
+        assert data["blocks_per_slot"] == blocks_per_slot
+        held += counts * blocks_per_slot
+    assert state["free_blocks"] == (manager.blocks_per_core - held).tolist()
+    healthy = [core not in manager.failed_cores for core in manager.kv_core_ids]
+    assert manager.used_blocks == int(held[healthy].sum())
+
+
+@given(script=occupancy_scripts())
+@settings(max_examples=200, deadline=None)
+def test_occupancy_matches_page_tables_and_dense_twin(script):
+    """Ring-offset occupancy is invisible: after every operation the snapshot
+    matches an oracle built from the page tables, and a twin manager that keeps
+    every allocation as a dense per-core vector makes the same decisions and
+    reaches the same snapshot."""
+    geometry, ops = script
+    manager = occupancy_manager(**geometry, ring=True)
+    twin = occupancy_manager(**geometry, ring=False)
+    sequences: dict[int, Sequence] = {}
+    tokens: dict[int, int] = {}
+    for op in ops:
+        if op[0] == "admit" and op[1] not in sequences:
+            sequence = Sequence(Request(
+                request_id=op[1], prefill_length=64, decode_length=64, tenant=op[2]
+            ))
+            sequence.start()
+            admitted = manager.try_admit(sequence)
+            assert twin.try_admit(sequence) == admitted
+            if admitted:
+                sequences[op[1]] = sequence
+                tokens[op[1]] = 0
+        elif op[0] == "grow" and op[1] in sequences:
+            grown = manager.append_tokens(sequences[op[1]], op[2])
+            assert twin.append_tokens(sequences[op[1]], op[2]) == grown
+            if grown:
+                tokens[op[1]] += op[2]
+        elif op[0] == "release" and op[1] in sequences:
+            manager.release(sequences[op[1]])
+            twin.release(sequences.pop(op[1]))
+            del tokens[op[1]]
+        elif op[0] == "batch":
+            batch = list(sequences.values())
+            takes = np.asarray(op[1][: len(batch)], dtype=np.int64)
+            completing = np.zeros(len(batch), dtype=bool)
+            grown = manager.grow_batch(batch, takes, completing)
+            assert twin.grow_batch(batch, takes, completing) == grown
+            if grown:
+                for sequence, take in zip(batch, takes.tolist()):
+                    tokens[sequence.sequence_id] += take
+        elif op[0] == "fail":
+            core = manager.kv_core_ids[op[1]]
+            assert manager.fail_core(core) == twin.fail_core(core)
+        assert manager.snapshot_state() == twin.snapshot_state()
+        assert manager.last_failure_quota_bound == twin.last_failure_quota_bound
+        assert_occupancy_oracle(manager, tokens)
+        for core in manager.kv_core_ids:
+            assert manager.sequences_on_core(core) == twin.sequences_on_core(core)
+
+
+@st.composite
 def resident_batches(draw):
     """A KV manager with a random resident set, plus one epoch's growth.
 
     Covers both managers, tenant quotas (one tenant capped, sometimes
-    tightly), near-full caches (few blocks per core, pre-grown residents)
-    and failed cores.  Returns ``(manager, sequences, takes, completing)``.
+    tightly), near-full caches (few blocks per core, pre-grown residents),
+    reservation thresholds (so walk-placed residents sit next to ring-placed
+    ones) and failed cores.  Returns ``(manager, sequences, takes, completing)``.
     """
     arch = ModelArch(
         name="prop", num_blocks=draw(st.integers(1, 2)), hidden_size=256,
@@ -229,7 +361,8 @@ def resident_batches(draw):
         )
     else:
         manager = DistributedKVCacheManager(
-            arch, kv_core_ids=list(range(num_cores)), blocks_per_core=blocks_per_core
+            arch, kv_core_ids=list(range(num_cores)), blocks_per_core=blocks_per_core,
+            threshold=draw(st.sampled_from([0.0, 0.25, 0.5])),
         )
     if draw(st.booleans()):
         manager.set_tenant_quotas({"capped": draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))})

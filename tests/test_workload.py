@@ -35,6 +35,23 @@ class TestDistributions:
         # Heavy tail: the max should be several times the median.
         assert max(prefills) > 3 * median
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_wikitext_sample_matches_np_clip_formula(self, seed):
+        """Builtin clamping gives the lengths the ``np.clip`` formula gives."""
+        dist = WikiTextLikeDistribution()
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(1000):
+            prefill = int(reference_rng.lognormal(dist.prefill_log_mean, dist.prefill_log_sigma))
+            decode = int(reference_rng.lognormal(dist.decode_log_mean, dist.decode_log_sigma))
+            prefill = int(np.clip(prefill, dist.min_length, dist.max_length))
+            decode = int(np.clip(decode, dist.min_length, dist.max_length))
+            if prefill + decode > dist.max_total_length:
+                prefill = min(prefill, dist.max_total_length - dist.min_length)
+                decode = max(dist.min_length, dist.max_total_length - prefill)
+            sample = dist.sample(rng)
+            assert (sample.prefill_length, sample.decode_length) == (prefill, decode)
+            assert type(sample.prefill_length) is int and type(sample.decode_length) is int
+
     def test_wikitext_variance_exceeds_fixed(self):
         wiki = WikiTextLikeDistribution().sample_many(500, seed=0)
         fixed = FixedLengthDistribution(512, 512).sample_many(500, seed=0)
