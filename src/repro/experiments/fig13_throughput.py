@@ -58,9 +58,6 @@ def main_comparison_grid(
 class ThroughputResult(FigureResult):
     grid: dict[tuple[str, str], dict[str, float]] = field(default_factory=dict)
 
-    def speedup_over(self, baseline: str = "DGX A100") -> dict[tuple[str, str], float]:
-        return {cell: values[OUROBOROS_NAME] for cell, values in self.grid.items()}
-
     def average_speedup(self) -> float:
         return geometric_mean(
             [values[OUROBOROS_NAME] for values in self.grid.values()]

@@ -85,9 +85,6 @@ class Crossbar:
     def block_owner(self, block_index: int) -> int | None:
         return self._block_owner[block_index]
 
-    def block_rows_used(self, block_index: int) -> int:
-        return self._block_rows_used[block_index]
-
     # ------------------------------------------------------------- FFN weights
 
     def load_weights(self, num_bytes: int) -> None:

@@ -33,10 +33,16 @@ allocation dense and ends ring placement.  A checkpoint restores every
 allocation dense; new admissions are ring-placed again alongside them.  Free
 and healthy block totals are O(1) running counters.
 
+Each resident allocation is one int64 column
+(:class:`~repro.kvcache.rows.AllocationRows`) whose index, its row handle,
+the scheduler's active rows carry (:meth:`DistributedKVCacheManager.bind_row`).
+
 Growth has two forms.  :meth:`DistributedKVCacheManager.append_tokens` grows
-one sequence; :meth:`DistributedKVCacheManager.grow_batch` grows a whole
-epoch's active set in a few array operations, but only when it can prove
-that the equivalent ordered walk of ``append_tokens`` calls could not fail.
+one sequence; :meth:`DistributedKVCacheManager.grow_batch` gathers a whole
+epoch's rows by handle and grows them in a few array operations (the peak is
+an integer prefix maximum over the walk's grow/release events), but only
+when it can prove that the equivalent ordered walk of ``append_tokens``
+calls could not fail.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from ..workload.requests import Sequence
 from .blocks import tokens_per_block
 from .pagetable import PageTableStore
 from .quota import TenantQuotaLedger
+from .rows import TOKENS, AllocationRows
 
 
 @dataclass
@@ -78,25 +85,14 @@ class KVCacheStats:
         return dict(self.__dict__)
 
 
-@dataclass
-class _SequenceAllocation:
-    """Internal record of one resident sequence's KV allocation.
-
-    Exactly one of ``ring`` and ``slots`` is set.  A ring-placed allocation
-    holds ``ring[o]`` (block, head, K/V) slots on the core at ring offset
-    *o* of every group -- a read-only row of the manager's ring-count table.
-    Any other allocation holds ``slots[c]`` slots on local core *c*, one
-    entry per KV core.  Every slot holds ``blocks_per_slot`` blocks.
-    """
-
-    sequence_id: int
-    ring: npt.NDArray[np.int64] | None
-    slots: npt.NDArray[np.int64] | None
-    blocks_per_slot: int
-    tokens: int
-    #: total slots, and the most on any one core (fixed for the allocation's life)
-    total_slots: int
-    max_slots_per_core: int
+#: fields of the allocation columns (:class:`~repro.kvcache.rows.AllocationRows`;
+#: field 0 is the token count)
+_BLOCKS_PER_SLOT = 1  #: blocks in each (block, head, K/V) slot
+_TOTAL_SLOTS = 2  #: slots held, fixed for the allocation's life
+_MAX_SLOTS = 3  #: most slots on any one core (next to _TOTAL_SLOTS: one slice)
+_TENANT = 4  #: index into ``_tenant_index``, -1 until known
+_RING = 5  #: ring pointer (row of ``_ring_counts``), -1 for a dense allocation
+_FIELDS = 6
 
 
 class DistributedKVCacheManager(TenantQuotaLedger):
@@ -129,7 +125,12 @@ class DistributedKVCacheManager(TenantQuotaLedger):
         self._free_blocks = np.full(num_cores, blocks_per_core, dtype=np.int64)
         self._core_index = {core_id: i for i, core_id in enumerate(self.kv_core_ids)}
         self._core_ids_array = np.asarray(self.kv_core_ids, dtype=np.int64)
-        self._allocations: dict[int, _SequenceAllocation] = {}
+        #: one column per resident allocation (see the field constants)
+        self._rows = AllocationRows(_FIELDS)
+        #: row handle -> per-core slots, for the dense allocations only
+        self._slots: dict[int, npt.NDArray[np.int64]] = {}
+        #: tenant -> index in the ``_TENANT`` field
+        self._tenant_index: dict[str, int] = {}
         self._failed_cores: set[int] = set()
         #: O(1) running totals (kept in sync by every allocation mutation)
         self._free_total = num_cores * blocks_per_core
@@ -202,15 +203,16 @@ class DistributedKVCacheManager(TenantQuotaLedger):
         # Ring-offset occupancy needs equal groups that tile a prefix of the
         # cores: core c < _ring_span then sits at ring offset c % size.
         # _ring_counts[p, o] is how many heads a ring admission at pointer p
-        # puts on offset o (2 at o == p when padded heads double up).
+        # puts on offset o (2 at o == p when padded heads double up); its
+        # extra last row is zero, so a dense allocation's pointer -1 gathers
+        # no ring blocks.
         self._ring_counts: npt.NDArray[np.int64] | None = None
         self._ring_span = 0
         self._ring_used = np.zeros(0, dtype=np.int64)
         if self._ring_table is not None and isinstance(self._grouped_cores, slice):
             size = sizes[0]
-            counts = np.zeros((size, size), dtype=np.int64)
+            counts = np.zeros((size + 1, size), dtype=np.int64)
             np.add.at(counts, (np.arange(size)[:, None], self._ring_table), 1)
-            counts.flags.writeable = False  # allocations share its rows
             self._ring_counts = counts
             self._ring_span = len(concat)
             self._ring_used = np.zeros(size, dtype=np.int64)
@@ -248,17 +250,34 @@ class DistributedKVCacheManager(TenantQuotaLedger):
 
     @property
     def resident_sequences(self) -> list[int]:
-        return sorted(self._allocations)
+        return sorted(self._rows.handles)
 
     def tokens_cached(self, sequence_id: int) -> int:
-        allocation = self._allocations.get(sequence_id)
-        return allocation.tokens if allocation else 0
+        handle = self._rows.handles.get(sequence_id)
+        return 0 if handle is None else int(self._rows.columns[TOKENS, handle])
 
     def blocks_held(self, sequence_id: int) -> int:
-        allocation = self._allocations.get(sequence_id)
-        if allocation is None:
+        handle = self._rows.handles.get(sequence_id)
+        if handle is None:
             return 0
-        return allocation.blocks_per_slot * allocation.total_slots
+        columns = self._rows.columns
+        return int(columns[_BLOCKS_PER_SLOT, handle] * columns[_TOTAL_SLOTS, handle])
+
+    def bind_row(self, sequence: Sequence) -> int:
+        """Row handle of a resident sequence's allocation (-1 if not resident).
+
+        Also records the sequence's tenant on the row: a restored row learns
+        it here (checkpoints store placements, not tenants).
+        """
+        handle = self._rows.handles.get(sequence.sequence_id)
+        if handle is None:
+            return -1
+        if self._rows.columns[_TENANT, handle] < 0:
+            self._rows.columns[_TENANT, handle] = self._tenant_row(sequence.tenant)
+        return handle
+
+    def _tenant_row(self, tenant: str) -> int:
+        return self._tenant_index.setdefault(tenant, len(self._tenant_index))
 
     def max_concurrent_sequences(self, context_length: int) -> int:
         """How many sequences of a given context length fit simultaneously.
@@ -326,7 +345,7 @@ class DistributedKVCacheManager(TenantQuotaLedger):
     def try_admit(self, sequence: Sequence) -> bool:
         """Reserve one logical block per (block, head, K/V) slot for a sequence."""
         sequence_id = sequence.sequence_id
-        if sequence_id in self._allocations:
+        if sequence_id in self._rows.handles:
             raise KVCacheError(f"sequence {sequence_id} is already resident")
         self.last_failure_quota_bound = False
         heads = self.arch.kv_heads
@@ -351,13 +370,14 @@ class DistributedKVCacheManager(TenantQuotaLedger):
                 # checked and charged per ring offset.
                 selection = self._select_all_blocks_fast()
                 if selection is not None:
-                    ring = self._ring_counts[int(self._ring_pointers[0])]
+                    pointer = int(self._ring_pointers[0])
+                    ring = self._ring_counts[pointer]
                     if bool((headroom < ring).any()):
                         self.stats.failed_admissions += 1
                         return False
                     self._ring_used += ring
                     self._ring_resident += 1
-                    self._commit_admission(sequence, selection, ring, None)
+                    self._commit_admission(sequence, selection, pointer, ring)
                     return True
 
         free = self._core_free()
@@ -397,93 +417,92 @@ class DistributedKVCacheManager(TenantQuotaLedger):
             return False
         self._free_blocks -= counts
         self._dense_resident += 1
-        self._commit_admission(sequence, selection, None, counts)
+        handle = self._commit_admission(sequence, selection, -1, counts)
+        self._slots[handle] = counts
         return True
 
     def _commit_admission(
         self,
         sequence: Sequence,
         selection: npt.NDArray[np.int64],
-        ring: npt.NDArray[np.int64] | None,
-        slots: npt.NDArray[np.int64] | None,
-    ) -> None:
-        """Record an admission whose per-core occupancy is already charged."""
+        ring_pointer: int,
+        placed: npt.NDArray[np.int64],
+    ) -> int:
+        """Record an admission whose per-core (or per-offset) occupancy,
+        ``placed``, is already charged; return the new row handle."""
         total_reserved = int(selection.size)
         self._free_total -= total_reserved
         self._charge_tenant(sequence.tenant, total_reserved)
-        placed = ring if ring is not None else slots
-        assert placed is not None
-        self._allocations[sequence.sequence_id] = _SequenceAllocation(
-            sequence_id=sequence.sequence_id,
-            ring=ring,
-            slots=slots,
-            blocks_per_slot=1,
-            tokens=0,
-            total_slots=total_reserved,
-            max_slots_per_core=int(placed.max()),
-        )
+        handle = self._rows.claim(sequence.sequence_id, (
+            0, 1, total_reserved, int(placed.max()),
+            self._tenant_row(sequence.tenant), ring_pointer,
+        ))
         self._page_tables.register(sequence.sequence_id, self._core_ids_array[selection])
         self._ring_pointers = (self._ring_pointers + self.arch.kv_heads) % self._ring_sizes
         self.stats.admitted_sequences += 1
         self.stats.allocated_blocks += total_reserved
         self._update_peak()
+        return handle
 
     def append_tokens(self, sequence: Sequence, count: int = 1) -> bool:
         """Reserve KV space for ``count`` more tokens of a resident sequence."""
         if count < 0:
             raise KVCacheError("count must be non-negative")
-        allocation = self._allocations.get(sequence.sequence_id)
-        if allocation is None:
+        handle = self._rows.handles.get(sequence.sequence_id)
+        if handle is None:
             raise KVCacheError(
                 f"sequence {sequence.sequence_id} is not resident in the KV cache"
             )
         self.last_failure_quota_bound = False
-        new_tokens = allocation.tokens + count
+        columns = self._rows.columns
+        tokens, blocks_per_slot, total_slots = columns[:_MAX_SLOTS, handle].tolist()
+        new_tokens = tokens + count
         needed = max(1, math.ceil(new_tokens / self.tokens_per_block))
-        delta = needed - allocation.blocks_per_slot
+        delta = needed - blocks_per_slot
         if delta > 0:
-            total_required = allocation.total_slots * delta
+            total_required = total_slots * delta
             if not self._quota_allows(sequence.tenant, total_required):
                 self.stats.failed_growths += 1
                 self.stats.quota_blocked_growths += 1
                 self.last_failure_quota_bound = True
                 return False
-            if allocation.ring is not None:
-                required = allocation.ring * delta
+            slots = self._slots.get(handle)
+            if slots is None:
+                required = self._ring_row(handle) * delta
                 if bool((self._ring_headroom() < required).any()):
                     self.stats.failed_growths += 1
                     return False
                 self._ring_used += required
             else:
-                assert allocation.slots is not None
-                required = allocation.slots * delta
+                required = slots * delta
                 if bool((self._core_free() < required).any()):
                     self.stats.failed_growths += 1
                     return False
                 self._free_blocks -= required
                 if self._failed_cores:
-                    self._free_on_failed -= self._sum_on_failed(allocation, delta)
+                    self._free_on_failed -= self._sum_on_failed(slots, delta)
             self._free_total -= total_required
             self._charge_tenant(sequence.tenant, total_required)
-            allocation.blocks_per_slot = needed
+            columns[_BLOCKS_PER_SLOT, handle] = needed
             self.stats.allocated_blocks += total_required
             # Only an allocating growth can raise the used count.
             self._update_peak()
-        allocation.tokens = new_tokens
+        columns[TOKENS, handle] = new_tokens
         return True
 
     def grow_batch(
         self,
-        sequences: list[Sequence],
+        handles: npt.NDArray[np.int64],
         takes: npt.NDArray[np.int64],
         completing: npt.NDArray[np.bool_],
     ) -> bool:
-        """Grow every sequence by its take at once, or change nothing.
+        """Grow every row by its take at once, or change nothing.
 
-        Equivalent to the ordered walk ``append_tokens(sequences[i],
-        takes[i])`` over the nonzero takes, with ``release(sequences[i])``
-        right after each ``completing`` row's growth — applied only when a
-        sufficient condition proves that no growth in that walk can fail:
+        ``handles`` are the rows' handles (:meth:`bind_row`).  Equivalent to
+        the ordered walk ``append_tokens(row i, takes[i])`` over the nonzero
+        takes, with ``release(row i)`` right after each ``completing`` row's
+        growth -- applied only when a sufficient condition proves that no
+        growth in that walk can fail:
 
         * no core has failed;
         * the least free core has room for the worst case of every growing
@@ -494,113 +513,118 @@ class DistributedKVCacheManager(TenantQuotaLedger):
 
         Releases in the walk only add free blocks, so ignoring them keeps the
         condition sound.  Otherwise returns False with no state touched.  On
-        success every stat matches the walk's — ``peak_used_blocks`` is the
-        walk's prefix maximum — but the releases are left to the caller.
+        success every stat matches the walk's -- ``peak_used_blocks`` is the
+        walk's prefix maximum -- but the releases are left to the caller.
         """
         if self._failed_cores:
             return False
-        allocations = self._allocations
-        try:
-            batch = [allocations[sequence.sequence_id] for sequence in sequences]
-        except KeyError as exc:
-            raise KVCacheError(
-                f"sequence {exc.args[0]} is not resident in the KV cache"
-            ) from None
-        if len(takes) and int(takes.min()) < 0:
+        if not len(handles):
+            return True
+        columns = self._rows.columns[:, handles]
+        tokens = columns[TOKENS]
+        if int(np.minimum(tokens, takes).min()) < 0:
+            if int(tokens.min()) < 0:
+                raise KVCacheError(
+                    "grow_batch got the handle of a row that is not resident"
+                )
             raise KVCacheError("count must be non-negative")
-        tokens = np.fromiter(
-            (allocation.tokens for allocation in batch), dtype=np.int64, count=len(batch)
-        )
         grown = tokens + takes
         per_block = self.tokens_per_block
-        # blocks_per_slot == max(1, ceil(tokens / tokens_per_block)) always
-        needed = np.maximum(1, -(-grown // per_block))
-        deltas = needed - np.maximum(1, -(-tokens // per_block))
-        crossing = np.flatnonzero(deltas).tolist()  # rows allocating blocks
-        new_blocks = {row: batch[row].total_slots * int(deltas[row]) for row in crossing}
-        if crossing:
-            worst = sum(
-                batch[row].max_slots_per_core * int(deltas[row]) for row in crossing
-            )
-            if worst > self._min_free():
-                return False
+        needed = np.maximum(1, (grown + (per_block - 1)) // per_block)
+        deltas = needed - columns[_BLOCKS_PER_SLOT]
+        crossing = deltas.nonzero()[0]  # rows allocating blocks
+        if not len(crossing):
+            # No row allocates: the walk only counts tokens.
+            if self.last_failure_quota_bound and np.count_nonzero(takes):
+                self.last_failure_quota_bound = False
+            self._rows.columns[TOKENS, handles] = grown
+            return True
+        # Integer matmul: exact, no BLAS.
+        allocated, worst = (columns[_TOTAL_SLOTS : _MAX_SLOTS + 1] @ deltas).tolist()
+        if worst > self._min_free():
+            return False
+        charges: list[tuple[str, int]] = []
         caps = self._tenant_quota_blocks
         if caps:
-            tenant_growth: dict[str, int] = {}
-            for row, blocks in new_blocks.items():
-                tenant = sequences[row].tenant
-                if tenant in caps:
-                    tenant_growth[tenant] = tenant_growth.get(tenant, 0) + blocks
-            for tenant, blocks in tenant_growth.items():
-                if self._tenant_used[tenant] + blocks > caps[tenant]:
+            tenants = columns[_TENANT]
+            if int(tenants.min()) < 0:
+                return False  # a restored row not yet bound: leave it to the walk
+            names = list(self._tenant_index)
+            by_tenant = np.bincount(tenants, weights=columns[_TOTAL_SLOTS] * deltas)
+            for index, blocks in enumerate(by_tenant.tolist()):
+                cap = caps.get(names[index])
+                if cap is None or not blocks:
+                    continue
+                if self._tenant_used[names[index]] + blocks > cap:
                     return False
+                charges.append((names[index], int(blocks)))
 
         # Proven: apply.  The peak is the walk's prefix maximum over "grow
-        # row i, then release it if it completes".  Between events the used
-        # count only falls, so the events (and the starting count) suffice.
+        # row i, then release it if it completes": the used count right
+        # after row i's growth is used + sum(growth up to i) - sum(releases
+        # before i).  Between events the used count only falls, and it never
+        # exceeds used + allocated.
         used = self.used_blocks
         peak = self.stats.peak_used_blocks
-        if bool(takes.any()):
-            self.last_failure_quota_bound = False
-            peak = max(peak, used)
-        releases = {
-            row: batch[row].total_slots * int(needed[row])
-            for row in np.flatnonzero(completing & (takes > 0)).tolist()
-        }
-        for row in sorted(new_blocks.keys() | releases.keys()):
-            used += new_blocks.get(row, 0)
-            peak = max(peak, used)
-            used -= releases.get(row, 0)
-        for row, blocks in new_blocks.items():
-            allocation = batch[row]
-            delta = int(deltas[row])
-            # Most growths add one block per slot: skip the multiply.
-            if allocation.ring is not None:
-                self._ring_used += allocation.ring if delta == 1 else allocation.ring * delta
-            else:
-                assert allocation.slots is not None
-                self._free_blocks -= allocation.slots if delta == 1 else allocation.slots * delta
-            allocation.blocks_per_slot = int(needed[row])
-            self._charge_tenant(sequences[row].tenant, blocks)
-        allocated = sum(new_blocks.values())
+        if used + allocated > peak:
+            level = allocated
+            if np.count_nonzero(completing):
+                grows = columns[_TOTAL_SLOTS] * deltas
+                releases = np.where(
+                    completing & (takes > 0), columns[_TOTAL_SLOTS] * needed, 0
+                )
+                level = int((np.cumsum(grows - releases) + releases).max())
+            self.stats.peak_used_blocks = max(peak, used + level)
+        if self._ring_resident:
+            # A dense row's pointer -1 gathers the all-zero last row.
+            assert self._ring_counts is not None
+            self._ring_used += (
+                deltas[crossing] @ self._ring_counts[columns[_RING, crossing]]
+            )
+        if self._dense_resident:
+            for row in crossing.tolist():
+                if columns[_RING, row] < 0:
+                    delta = int(deltas[row])
+                    self._free_blocks -= self._slots[int(handles[row])] * delta
+        self._rows.columns[_BLOCKS_PER_SLOT, handles] = needed
+        self._rows.columns[TOKENS, handles] = grown
+        for tenant, blocks in charges:
+            self._charge_tenant(tenant, blocks)
         self._free_total -= allocated
         self.stats.allocated_blocks += allocated
-        self.stats.peak_used_blocks = peak
-        for allocation, count in zip(batch, grown.tolist()):
-            allocation.tokens = count
+        self.last_failure_quota_bound = False
         return True
 
     def release(self, sequence: Sequence) -> None:
         """Free every block held by a sequence (completion or eviction)."""
-        allocation = self._allocations.pop(sequence.sequence_id, None)
-        if allocation is None:
+        handle = self._rows.release(sequence.sequence_id)
+        if handle is None:
             return
-        if allocation.ring is not None:
-            self._ring_used -= allocation.ring * allocation.blocks_per_slot
+        columns = self._rows.columns
+        blocks_per_slot = int(columns[_BLOCKS_PER_SLOT, handle])
+        slots = self._slots.pop(handle, None)
+        if slots is None:
+            self._ring_used -= self._ring_row(handle) * blocks_per_slot
             self._ring_resident -= 1
         else:
-            assert allocation.slots is not None
-            self._free_blocks += allocation.slots * allocation.blocks_per_slot
+            self._free_blocks += slots * blocks_per_slot
             self._dense_resident -= 1
             if self._failed_cores:
-                self._free_on_failed += self._sum_on_failed(
-                    allocation, allocation.blocks_per_slot
-                )
-        returned = allocation.total_slots * allocation.blocks_per_slot
+                self._free_on_failed += self._sum_on_failed(slots, blocks_per_slot)
+        returned = int(columns[_TOTAL_SLOTS, handle]) * blocks_per_slot
         self._free_total += returned
         self._charge_tenant(sequence.tenant, -returned)
         self._page_tables.remove(sequence.sequence_id)
         self.stats.released_sequences += 1
         self.stats.released_blocks += returned
 
-    def _sum_on_failed(self, allocation: _SequenceAllocation, per_slot: int) -> int:
+    def _sum_on_failed(self, slots: npt.NDArray[np.int64], per_slot: int) -> int:
         """Blocks of a dense allocation delta that land on failed cores."""
-        assert allocation.slots is not None
         failed_locals = [
             self._core_index[core_id]
             for core_id in sorted(self._failed_cores)
         ]
-        return int(allocation.slots[failed_locals].sum()) * per_slot
+        return int(slots[failed_locals].sum()) * per_slot
 
     # --------------------------------------------------------------- occupancy
 
@@ -629,34 +653,42 @@ class DistributedKVCacheManager(TenantQuotaLedger):
             return int(self._free_blocks.min())
         # Cores past the ring span belong to no group, so they are never
         # allocated and are never the least free.
+        if not self._dense_resident:
+            return self.blocks_per_core - int(self._ring_used.max())
         return int(self._ring_headroom().min())
 
+    def _ring_row(self, handle: int) -> npt.NDArray[np.int64]:
+        """Per-offset slots of a ring-placed row (its ``_ring_counts`` row)."""
+        assert self._ring_counts is not None
+        return self._ring_counts[self._rows.columns[_RING, handle]]
+
     def _placement(
-        self, allocation: _SequenceAllocation
+        self, handle: int
     ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
-        """Local indices of the cores an allocation touches (ascending) and
-        the slots it holds on each."""
-        if allocation.slots is not None:
+        """Local indices of the cores a row's allocation touches (ascending)
+        and the slots it holds on each."""
+        slots = self._slots.get(handle)
+        if slots is not None:
             # astype(copy=False) is a no-op view (intp == int64 on this
             # platform); it only pins the static type.
-            cores = np.flatnonzero(allocation.slots).astype(np.int64, copy=False)
-            return cores, allocation.slots[cores]
-        assert allocation.ring is not None
-        offsets = np.flatnonzero(allocation.ring)
+            cores = np.flatnonzero(slots).astype(np.int64, copy=False)
+            return cores, slots[cores]
+        ring = self._ring_row(handle)
+        offsets = np.flatnonzero(ring)
         starts = np.arange(0, self._ring_span, len(self._ring_used))
         cores = (starts[:, None] + offsets[None, :]).ravel().astype(np.int64, copy=False)
-        return cores, np.tile(allocation.ring[offsets], len(starts))
+        return cores, np.tile(ring[offsets], len(starts))
 
     def _densify(self) -> None:
         """Turn every ring allocation into a dense per-core slot vector."""
         self._free_blocks = self._core_free()
-        for allocation in self._allocations.values():
-            if allocation.ring is not None:
+        for handle in self._rows.handles.values():
+            if handle not in self._slots:
                 slots = np.zeros(self.num_kv_cores, dtype=np.int64)
-                cores, counts = self._placement(allocation)
+                cores, counts = self._placement(handle)
                 slots[cores] = counts
-                allocation.slots = slots
-                allocation.ring = None
+                self._slots[handle] = slots
+                self._rows.columns[_RING, handle] = -1
         self._dense_resident += self._ring_resident
         self._ring_resident = 0
         self._ring_used[:] = 0
@@ -694,18 +726,18 @@ class DistributedKVCacheManager(TenantQuotaLedger):
             raise KVCacheError(f"core {core_id} is not a KV core")
         local = self._core_index[core_id]
         return [
-            allocation.sequence_id
-            for allocation in self._allocations.values()
-            if self._holds(allocation, local)
+            sequence_id
+            for sequence_id, handle in self._rows.handles.items()
+            if self._holds(handle, local)
         ]
 
-    def _holds(self, allocation: _SequenceAllocation, local: int) -> bool:
-        """Whether an allocation has at least one slot on local core ``local``."""
-        if allocation.slots is not None:
-            return bool(allocation.slots[local] > 0)
-        assert allocation.ring is not None
+    def _holds(self, handle: int, local: int) -> bool:
+        """Whether a row's allocation has a slot on local core ``local``."""
+        slots = self._slots.get(handle)
+        if slots is not None:
+            return bool(slots[local] > 0)
         size = len(self._ring_used)
-        return local < self._ring_span and bool(allocation.ring[local % size] > 0)
+        return local < self._ring_span and bool(self._ring_row(handle)[local % size] > 0)
 
     # -------------------------------------------------------------- checkpoint
 
@@ -718,16 +750,17 @@ class DistributedKVCacheManager(TenantQuotaLedger):
         of the snapshot: every allocation is stored as its per-core
         placement.
         """
+        columns = self._rows.columns
         allocations = []
-        for allocation in self._allocations.values():
-            cores, counts = self._placement(allocation)
+        for sequence_id, handle in self._rows.handles.items():
+            cores, counts = self._placement(handle)
             allocations.append([
-                allocation.sequence_id,
+                sequence_id,
                 {
                     "cores": cores.tolist(),
                     "counts": counts.tolist(),
-                    "blocks_per_slot": allocation.blocks_per_slot,
-                    "tokens": allocation.tokens,
+                    "blocks_per_slot": int(columns[_BLOCKS_PER_SLOT, handle]),
+                    "tokens": int(columns[TOKENS, handle]),
                 },
             ])
         return {
@@ -743,24 +776,25 @@ class DistributedKVCacheManager(TenantQuotaLedger):
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        """Restore a :meth:`snapshot_state`; every allocation comes back dense."""
+        """Restore a :meth:`snapshot_state`; every allocation comes back dense.
+
+        The rows' tenants are unknown until :meth:`bind_row` sees each
+        sequence.
+        """
         self._free_blocks = np.asarray(state["free_blocks"], dtype=np.int64)
-        self._allocations = {}
+        self._rows = AllocationRows(_FIELDS)
+        self._slots = {}
         for sequence_id, data in state["allocations"]:
             slots = np.zeros(self.num_kv_cores, dtype=np.int64)
             slots[np.asarray(data["cores"], dtype=np.int64)] = data["counts"]
-            self._allocations[sequence_id] = _SequenceAllocation(
-                sequence_id=sequence_id,
-                ring=None,
-                slots=slots,
-                blocks_per_slot=data["blocks_per_slot"],
-                tokens=data["tokens"],
-                total_slots=int(slots.sum()),
-                max_slots_per_core=int(slots.max()),
-            )
+            handle = self._rows.claim(sequence_id, (
+                data["tokens"], data["blocks_per_slot"], int(slots.sum()),
+                int(slots.max()), -1, -1,
+            ))
+            self._slots[handle] = slots
         self._ring_used[:] = 0
         self._ring_resident = 0
-        self._dense_resident = len(self._allocations)
+        self._dense_resident = len(self._slots)
         self._ring_pointers = np.asarray(state["ring_pointers"], dtype=np.int64)
         self._page_tables.restore_state(state["page_tables"])
         self._failed_cores = set(state["failed_cores"])

@@ -21,6 +21,10 @@ from ..models.architectures import ModelArch
 from ..workload.requests import Sequence
 from .blocks import tokens_per_block
 from .quota import TenantQuotaLedger
+from .rows import TOKENS, AllocationRows
+
+#: field of the allocation columns (field 0 is the token count)
+_BLOCKS = 1  #: blocks reserved
 
 
 @dataclass
@@ -59,7 +63,8 @@ class StaticKVCacheManager(TenantQuotaLedger):
         self.tokens_per_block = tokens_per_block(arch.head_dim, self.element_bytes)
         self.reserved_context = reserved_context or arch.max_context
         self.stats = StaticKVCacheStats()
-        self._resident: dict[int, int] = {}  # sequence id -> reserved blocks
+        #: one column per resident sequence: tokens cached, blocks reserved
+        self._rows = AllocationRows(2)
         self._free_blocks = num_cores * blocks_per_core
         # Static reservations never vary per sequence, so the per-sequence
         # block count and the byte capacity are computed once, not per call.
@@ -103,13 +108,17 @@ class StaticKVCacheManager(TenantQuotaLedger):
 
     @property
     def resident_sequences(self) -> list[int]:
-        return sorted(self._resident)
+        return sorted(self._rows.handles)
+
+    def bind_row(self, sequence: Sequence) -> int:
+        """Row handle of a resident sequence (-1 if not resident)."""
+        return self._rows.handles.get(sequence.sequence_id, -1)
 
     # -------------------------------------------------------------- allocation
 
     def try_admit(self, sequence: Sequence) -> bool:
         sequence_id = sequence.sequence_id
-        if sequence_id in self._resident:
+        if sequence_id in self._rows.handles:
             raise KVCacheError(f"sequence {sequence_id} is already resident")
         self.last_failure_quota_bound = False
         needed = self.blocks_per_sequence()
@@ -122,51 +131,57 @@ class StaticKVCacheManager(TenantQuotaLedger):
             self.stats.failed_admissions += 1
             return False
         self._free_blocks -= needed
-        self._resident[sequence_id] = needed
+        self._rows.claim(sequence_id, (0, needed))
         self._charge_tenant(sequence.tenant, needed)
         self.stats.admitted_sequences += 1
-        self.stats.peak_resident = max(self.stats.peak_resident, len(self._resident))
+        self.stats.peak_resident = max(
+            self.stats.peak_resident, len(self._rows.handles)
+        )
         return True
 
     def append_tokens(self, sequence: Sequence, count: int = 1) -> bool:
         """Growth always succeeds up to the statically reserved context."""
-        if sequence.sequence_id not in self._resident:
+        handle = self._rows.handles.get(sequence.sequence_id)
+        if handle is None:
             raise KVCacheError(
                 f"sequence {sequence.sequence_id} is not resident in the KV cache"
             )
-        return sequence.context_length + count <= self.reserved_context
+        grown = int(self._rows.columns[TOKENS, handle]) + count
+        if grown > self.reserved_context:
+            return False
+        self._rows.columns[TOKENS, handle] = grown
+        return True
 
     def grow_batch(
         self,
-        sequences: list[Sequence],
+        handles: npt.NDArray[np.int64],
         takes: npt.NDArray[np.int64],
         completing: npt.NDArray[np.bool_],
     ) -> bool:
         """Batch form of :meth:`append_tokens` over the nonzero takes.
 
-        Growth changes no state here, and releasing completed sequences
+        Growth only counts tokens here, and releasing completed sequences
         cannot change whether a later one fits its reservation, so the batch
-        succeeds exactly when every growing sequence stays within the
-        reserved context (``completing`` is accepted for the shared
-        protocol).  Returns False otherwise, with nothing changed.
+        succeeds exactly when every growing row stays within the reserved
+        context (``completing`` is accepted for the shared protocol).
+        Returns False otherwise, with nothing changed.
         """
-        for sequence in sequences:
-            if sequence.sequence_id not in self._resident:
-                raise KVCacheError(
-                    f"sequence {sequence.sequence_id} is not resident in the KV cache"
-                )
-        positions = np.fromiter(
-            (sequence.context_length for sequence in sequences),
-            dtype=np.int64,
-            count=len(sequences),
-        )
-        fits = (positions + takes <= self.reserved_context) | (takes == 0)
-        return bool(fits.all())
+        if not len(handles):
+            return True
+        tokens = self._rows.columns[TOKENS, handles]
+        if int(tokens.min()) < 0:
+            raise KVCacheError("grow_batch got the handle of a row that is not resident")
+        grown = tokens + takes
+        if not bool(((grown <= self.reserved_context) | (takes == 0)).all()):
+            return False
+        self._rows.columns[TOKENS, handles] = grown
+        return True
 
     def release(self, sequence: Sequence) -> None:
-        reserved = self._resident.pop(sequence.sequence_id, None)
-        if reserved is None:
+        handle = self._rows.release(sequence.sequence_id)
+        if handle is None:
             return
+        reserved = int(self._rows.columns[_BLOCKS, handle])
         self._free_blocks += reserved
         self._charge_tenant(sequence.tenant, -reserved)
         self.stats.released_sequences += 1
@@ -174,16 +189,23 @@ class StaticKVCacheManager(TenantQuotaLedger):
     # -------------------------------------------------------------- checkpoint
 
     def snapshot_state(self) -> dict[str, Any]:
-        """JSON-able occupancy state for a bit-for-bit checkpoint."""
+        """JSON-able occupancy state for a bit-for-bit checkpoint: each
+        resident is ``[sequence id, blocks reserved, tokens cached]``."""
+        columns = self._rows.columns
         return {
-            "resident": [list(item) for item in self._resident.items()],
+            "resident": [
+                [sequence_id, int(columns[_BLOCKS, handle]), int(columns[TOKENS, handle])]
+                for sequence_id, handle in self._rows.handles.items()
+            ],
             "free_blocks": self._free_blocks,
             **self._quota_state(),
             "stats": dict(self.stats.__dict__),
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        self._resident = {seq_id: blocks for seq_id, blocks in state["resident"]}
+        self._rows = AllocationRows(2)
+        for sequence_id, blocks, tokens in state["resident"]:
+            self._rows.claim(sequence_id, (tokens, blocks))
         self._free_blocks = state["free_blocks"]
         self._restore_quota_state(state)
         self.stats = StaticKVCacheStats(**state["stats"])

@@ -328,14 +328,6 @@ class Placement:
             seen.add(core_id)
 
 
-def _weighted_distance(wafer: Wafer, problem: MappingProblem, a: int, b: int) -> float:
-    """Manhattan distance with the die-crossing penalty of Eq. 1."""
-    distance = float(wafer.manhattan(a, b))
-    if not wafer.same_die(a, b):
-        distance *= problem.inter_die_cost_factor
-    return distance
-
-
 def placement_core_array(problem: MappingProblem, placement: Placement) -> np.ndarray:
     """Core id of every tile, in :meth:`MappingProblem.tiles` order."""
     tiles = problem._tile_cache()[0]

@@ -44,19 +44,24 @@ strategies* driven by one shared loop (:meth:`PipelineEngine._drive`):
 
 * :meth:`PipelineEngine.run` -- the fast path, which works on arrays.  The
   scheduler keeps the active sequences' integer state (remaining prefill and
-  decode, position, generated tokens, prompt length) as an
+  decode, position, generated tokens, prompt length, KV row handle) as an
   :class:`~repro.workload.active_rows.ActiveRows` buffer, appending a column
   on admission and deleting it when a sequence leaves, so nothing is rebuilt
   from :class:`Sequence` objects per epoch.  An epoch is one batched step:
-  plan the takes, grow the whole batch's KV in one all-or-nothing
-  ``grow_batch``, derive the tally (integer-accumulated context weight,
-  energy as per-quantized-context-bin token counts scaled by the memoized
-  :class:`EnergyBreakdown` once per bin) and write the takes back.  Python
-  touches single sequences only where a mask selects them: first tokens,
-  phase changes and completions.  When the batch growth declines -- KV
-  pressure, a failed core, a tenant near its quota -- the epoch runs the
-  scalar walk below instead, whose evictions and sheds need the ordered
-  per-sequence order.
+  the planner derives the takes, token count and context weight once
+  (integer-accumulated, :func:`_twice_context_weight`); the advance grows
+  the whole batch's KV by row handle in one all-or-nothing ``grow_batch``,
+  bins the energy by quantized context in first-touch order
+  (:func:`_energy_bins`, scaled by one memoized per-token energy row per
+  bin and summed in order by :func:`fold_energy`) and advances the rows.
+  The rows are authoritative: a :class:`Sequence`'s progress and phase are
+  written from its row when the row is removed (completion, eviction,
+  preemption, fault recompute, quota shed) and for every active row before
+  the scalar walk, a checkpoint and a fault injection.  Python touches
+  single sequences only where a mask selects them: first tokens and
+  completions.  When the batch growth declines -- KV pressure, a failed
+  core, a tenant near its quota -- the epoch runs the scalar walk below
+  instead, whose evictions and sheds need the ordered per-sequence order.
 * :meth:`PipelineEngine.run_scalar` -- the retained scalar reference: the
   original one-sequence-at-a-time loop, kept for validation.  It re-derives
   the array state from the sequences after every epoch, and shares the
@@ -83,7 +88,7 @@ is skipped and the loop is the exact batch control flow.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -188,15 +193,23 @@ class EpochPlan:
     prefill/decode split is the vectorised derivation the fast path commits
     directly.  ``columns`` is the copy of the scheduler's
     :class:`~repro.workload.active_rows.ActiveRows` the plan was derived
-    from.  ``split`` marks plans whose budgets were truncated so the epoch
-    closes at the next queue-head arrival instead of running a full chunk
-    past it.
+    from.  The other fields describe the epoch should every take go
+    through, computed once for the planner's estimate and the fast path's
+    tally alike.  ``split`` marks plans whose budgets were truncated so the
+    epoch closes at the next queue-head arrival instead of running a full
+    chunk past it.
     """
 
     budgets: np.ndarray
     prefill_takes: np.ndarray
     decode_takes: np.ndarray
     columns: np.ndarray
+    odd_starts: np.ndarray  #: each row's ``2 * position - 1``
+    tokens: int
+    twice_weight: int  #: see :func:`_twice_context_weight`
+    prefill_segments: PrefillSegments
+    decode_sequences: int
+    max_decode_chunk: int
     split: bool = False
 
 
@@ -232,16 +245,55 @@ class PrefillSegments:
 _NO_SEGMENTS = PrefillSegments.from_pairs([])
 
 
-def _twice_context_weight(starts: np.ndarray, takes: np.ndarray) -> int:
+def _twice_context_weight(odd_starts: np.ndarray, budgets: np.ndarray) -> int:
     """Twice the sum of average attended context times tokens over segments.
 
     A segment of ``take`` tokens starting at position ``start`` averages
     ``start + (take - 1) / 2``, so twice its weight is the exact integer
-    ``(2 * start + take - 1) * take``: halving the sum reproduces, bit for
-    bit, the scalar walk's float accumulation of exact half-integers (below
-    2**53).
+    ``(2 * start + take - 1) * take``.  A row's prefill and decode segments
+    are consecutive, so together they weigh what one segment of the row's
+    whole budget from its position does; ``odd_starts`` holds each row's
+    ``2 * position - 1``.  Halving the sum reproduces, bit for bit, the
+    scalar walk's float accumulation of exact half-integers (below 2**53).
     """
-    return int(((2 * starts + takes - 1) * takes).sum())
+    return int(np.dot(odd_starts + budgets, budgets))  # integer dot: exact
+
+
+def _energy_bins(
+    odd_starts: np.ndarray, prefill: np.ndarray, decode: np.ndarray, quantum: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Energy bin indices in the scalar walk's first-touch order (row by row,
+    prefill before decode) and the tokens in each (float64, exact).
+
+    A segment's key is ``max(1, round(avg / quantum) * quantum)``, half to
+    even; bin index ``i`` stands for key ``max(1, i * quantum)``, so with a
+    quantum of 1 index 0 is lifted to 1.  ``2 * avg`` is the exact integer
+    ``odd_starts + take`` (``odd_starts`` is ``2 * start - 1``), and
+    ``2 * avg / (2 * quantum)`` rounds to the same float as ``avg / quantum``.
+    """
+    takes = np.empty((len(prefill), 2), dtype=np.int64)
+    takes[:, 0] = prefill
+    takes[:, 1] = decode
+    doubled = np.empty_like(takes)
+    np.add(odd_starts, prefill, out=doubled[:, 0])
+    np.add(doubled[:, 0], prefill + decode, out=doubled[:, 1])
+    takes = takes.ravel()
+    index = np.rint(doubled.ravel() / (2 * quantum)).astype(np.int64)
+    if quantum == 1:
+        index = np.maximum(index, 1)
+    bins = np.fromiter(dict.fromkeys(index[takes > 0].tolist()), dtype=np.int64)
+    return bins, np.bincount(index, weights=takes)[bins]
+
+
+def fold_energy(per_token: np.ndarray, counts: np.ndarray) -> EnergyBreakdown:
+    """``EnergyBreakdown()`` plus each ``(bins, 4)`` row of :class:`EnergyBreakdown`
+    fields scaled by its count, in row order: bit for bit the object fold for
+    nonnegative energies.  ``np.cumsum`` along axis 0 adds strictly in order;
+    ``np.sum`` along a contiguous axis sums more than 8 values pairwise.
+    """
+    return EnergyBreakdown(
+        *np.cumsum(per_token * counts[:, None], axis=0)[-1].tolist()
+    )
 
 
 @dataclass
@@ -255,7 +307,8 @@ class _EpochTally:
 
     tokens: int = 0
     context_weighted: float = 0.0
-    energy_bins: dict[int, int] = field(default_factory=dict)
+    #: bin indices and their tokens (see :func:`_energy_bins`)
+    energy_bins: tuple[np.ndarray, np.ndarray] = (np.zeros(0, np.int64), np.zeros(0))
     prefill_segments: PrefillSegments = _NO_SEGMENTS
     decode_sequences: int = 0
     max_decode_chunk: int = 0
@@ -324,6 +377,8 @@ class PipelineEngine:
         self._accumulator: ServeAccumulator | None = None
         self._interval_cache: dict[int, float] = {}
         self._energy_cache: dict[int, EnergyBreakdown] = {}
+        #: row i: per-token energy fields of bin index i (see _energy_bins)
+        self._energy_table = np.zeros((0, 4))
 
     # ------------------------------------------------------------ cached costs
 
@@ -346,6 +401,16 @@ class PipelineEngine:
             cached = self.cost_model.token_energy(key)
             self._energy_cache[key] = cached
         return cached
+
+    def _energy_rows(self, bins: np.ndarray) -> np.ndarray:
+        """Per-token energy fields of each bin index (a ``(bins, 4)`` array)."""
+        if len(self._energy_table) <= bins.max():
+            quantum = self.config.context_quantum
+            self._energy_table = np.vstack([self._energy_table] + [
+                astuple(self._energy_for_key(max(1, index * quantum)))
+                for index in range(len(self._energy_table), int(bins.max()) + 1)
+            ])
+        return self._energy_table[bins]
 
     # ----------------------------------------------------------- strategy hook
 
@@ -434,14 +499,18 @@ class PipelineEngine:
     ) -> _EpochTally | None:
         """Array advance: the whole active set in one batched step.
 
-        Grows every sequence's KV through the scheduler's all-or-nothing
-        ``grow_batch``; when that declines, returns None with nothing
-        changed and the caller runs :meth:`_advance_epoch_scalar` instead.
-        Otherwise no sequence was evicted or shed, so the tally follows from
-        the plan's arrays: context weights accumulate as exact integers
-        (:func:`_twice_context_weight`), energy bins keep the scalar walk's
-        first-touch order (prefill before decode, sequence by sequence) and
-        ``np.round`` matches Python's half-to-even ``round``.
+        Grows every row's KV through the scheduler's all-or-nothing
+        ``grow_batch``, by handle; when that declines, returns None with
+        nothing changed and the caller runs :meth:`_advance_epoch_scalar`
+        instead.  Otherwise no sequence was evicted or shed, so the tally
+        is the plan's -- token count, context weight (exact integers,
+        :func:`_twice_context_weight`), prefill segments and decode counts --
+        plus energy bins in the scalar walk's first-touch order
+        (:func:`_energy_bins`).  The takes advance the scheduler's rows only;
+        a sequence sees its progress when its row is flushed (see
+        :mod:`~repro.workload.active_rows`).  Python touches single
+        sequences only where a mask selects them: first tokens and
+        completions.
         """
         scheduler = self.scheduler
         budgets = plan.budgets
@@ -449,59 +518,30 @@ class PipelineEngine:
         decode = plan.decode_takes
         columns = plan.columns
         rem_prefill = columns[active_rows.REM_PREFILL]
-        rem_decode = columns[active_rows.REM_DECODE]
-        positions = columns[active_rows.POSITION]
-        completing = (budgets > 0) & (rem_prefill + rem_decode == budgets)
-        if not scheduler.grow_batch(snapshot, budgets, completing):
+        completing = (budgets > 0) & (
+            rem_prefill + columns[active_rows.REM_DECODE] == budgets
+        )
+        if not scheduler.grow_batch(columns[active_rows.HANDLE], budgets, completing):
             return None
 
-        # Segment starts and takes, interleaved prefill/decode per sequence.
-        starts = np.empty(2 * len(budgets), dtype=np.int64)
-        starts[0::2] = positions
-        starts[1::2] = positions + prefill
-        takes = np.empty(2 * len(budgets), dtype=np.int64)
-        takes[0::2] = prefill
-        takes[1::2] = decode
-        quantum = self.config.context_quantum
-        keys = np.maximum(
-            1, np.round((starts + (takes - 1) / 2.0) / quantum).astype(np.int64) * quantum
-        )
-        touched = takes > 0
-        energy_bins: dict[int, int] = {}
-        for key, count in zip(keys[touched].tolist(), takes[touched].tolist()):
-            energy_bins[key] = energy_bins.get(key, 0) + count
-
-        prefilling = prefill > 0
         tally = _EpochTally(
-            tokens=int(budgets.sum()),
-            context_weighted=_twice_context_weight(starts, takes) / 2,
-            energy_bins=energy_bins,
-            prefill_segments=PrefillSegments(
-                takes=prefill[prefilling],
-                streams=rem_prefill[prefilling],
-                lengths=columns[active_rows.PROMPT][prefilling],
+            tokens=plan.tokens,
+            context_weighted=plan.twice_weight / 2,
+            energy_bins=_energy_bins(
+                plan.odd_starts, prefill, decode, self.config.context_quantum
             ),
-            decode_sequences=int(np.count_nonzero(decode)),
-            max_decode_chunk=int(decode.max()) if len(decode) else 0,
+            prefill_segments=plan.prefill_segments,
+            decode_sequences=plan.decode_sequences,
+            max_decode_chunk=plan.max_decode_chunk,
         )
         first_tokens = (decode > 0) & (columns[active_rows.GENERATED] == 0)
-        for i in np.flatnonzero(first_tokens).tolist():
+        for i in first_tokens.nonzero()[0].tolist():
             tally.first_decoders.append(snapshot[i])
-
-        # Write the takes back: the sequences stay authoritative.
-        for sequence, prefill_take, decode_take in zip(
-            snapshot, prefill.tolist(), decode.tolist()
-        ):
-            sequence.prefill_progress += prefill_take
-            sequence.decode_progress += decode_take
-        entering_decode = prefilling & (rem_prefill == prefill) & (rem_decode > decode)
-        for i in np.flatnonzero(entering_decode).tolist():
-            snapshot[i].phase = SequencePhase.DECODE
         scheduler.rows.advance(prefill, decode)
-        for i in np.flatnonzero(completing).tolist():
-            # Scheduler bookkeeping (KV release, admission resume) happens
-            # here; the wall-clock stamp is corrected to the epoch end by
-            # the driver, once the duration is known.
+        for i in completing.nonzero()[0].tolist():
+            # Scheduler bookkeeping (row flush, KV release, admission
+            # resume) happens here; the wall-clock stamp is corrected to the
+            # epoch end by the driver, once the duration is known.
             sequence = snapshot[i]
             scheduler.complete(sequence, time_s)
             tally.finished.append(sequence)
@@ -518,12 +558,13 @@ class PipelineEngine:
         the fast path (the untruncated cap is min(chunk, remaining tokens of
         the current phase chain)).  KV growth may evict later sequences or
         shed this one, which is why the fast path falls back here under
-        pressure.  Afterwards the scheduler's array state is re-derived from
-        the advanced sequences.
+        pressure.  The sequences must be up to date with the scheduler's rows
+        (flushed); afterwards the rows are re-derived from the advanced
+        sequences.
         """
         scheduler = self.scheduler
         tally = _EpochTally()
-        energy_bins = tally.energy_bins
+        energy_bins: dict[int, int] = {}
         budgets = plan.budgets.tolist()
         prefill_segments: list[tuple[Sequence, int]] = []
 
@@ -558,6 +599,10 @@ class PipelineEngine:
                 tally.finished.append(sequence)
         # Read at close time, like the sequences' state the strategies see.
         tally.prefill_segments = PrefillSegments.from_pairs(prefill_segments)
+        tally.energy_bins = (
+            np.asarray(list(energy_bins), dtype=np.int64) // self.config.context_quantum,
+            np.asarray(list(energy_bins.values()), dtype=np.float64),
+        )
         scheduler.rows.resync(scheduler.active)
         return tally
 
@@ -637,6 +682,7 @@ class PipelineEngine:
                     continue
                 active, time_s = self._admit_or_skip_idle(time_s, *live_args)
                 if injector is not None:
+                    scheduler.flush_rows()  # a fault recomputes sequences
                     applied, delay = injector.poll(time_s)
                     if applied:
                         # Recovery consumed wall-clock, and the fault may have
@@ -661,8 +707,10 @@ class PipelineEngine:
                     # future client submission could land inside this epoch
                     # (which would have split it), then re-plan with whatever
                     # the wait released.  No epoch index is consumed: batch
-                    # never ran these aborted plans.
-                    horizon = time_s + self._plan_horizon(plan)
+                    # never ran these aborted plans.  A split plan's takes
+                    # already end at the in-queue arrival, so its horizon
+                    # never reaches past the watermark that released it.
+                    horizon = time_s + self._planned_duration(plan)
                     if arrival_feed.watermark() < horizon:
                         live_sync(horizon, wait=True)
                         continue
@@ -672,7 +720,9 @@ class PipelineEngine:
                 tally = advance(active, plan, time_s)
                 if tally is None:
                     # The batch KV growth declined: this epoch needs the
-                    # ordered per-sequence walk (evictions, quota sheds).
+                    # ordered per-sequence walk (evictions, quota sheds),
+                    # which reads and advances the sequences themselves.
+                    scheduler.flush_rows()
                     tally = self._advance_epoch_scalar(active, plan, time_s)
 
                 if tally.tokens == 0:
@@ -720,16 +770,6 @@ class PipelineEngine:
         return self._finish(
             trace, workload_name, time_s, energy, processed_tokens,
             utilization_time, injector.stats if injector is not None else None,
-        )
-
-    def _plan_horizon(self, plan: EpochPlan) -> float:
-        """Planned duration of ``plan`` — the live feed's watermark gate.
-
-        A split plan's takes already end at the in-queue arrival, so its
-        horizon never reaches past the watermark that released that arrival.
-        """
-        return self._planned_duration(
-            plan.columns, plan.prefill_takes, plan.decode_takes
         )
 
     def _ingest_live(self, arrival_feed, trace: Trace) -> None:
@@ -811,6 +851,7 @@ class PipelineEngine:
     ) -> EngineCheckpoint:
         """Snapshot the complete engine state at an epoch boundary."""
         scheduler = self.scheduler
+        scheduler.flush_rows()
         sequences: dict[int, dict] = {}
         for sequence in (
             scheduler.waiting
@@ -911,8 +952,9 @@ class PipelineEngine:
             sequence.retry_at = data["retry_at"]
             sequence.retries = data["retries"]
             sequence.metadata = dict(data["metadata"])
-        scheduler.restore_state(checkpoint.scheduler, by_id)
+        # KV first: the scheduler's restored rows bind to its row handles.
         self.kv_manager.restore_state(checkpoint.kv)
+        scheduler.restore_state(checkpoint.scheduler, by_id)
         self.epochs = deque(
             (EpochRecord(**record) for record in checkpoint.epochs),
             maxlen=_EPOCH_RING,
@@ -953,8 +995,9 @@ class PipelineEngine:
         The vectorised baseline take is ``min(chunk, remaining)`` per
         sequence, split into a prefill take at its current position and a
         decode take right after it.  When the next admission candidate's
-        arrival (policy-defined, see :meth:`_gap_to_next_arrival`) lands
-        strictly inside the epoch's planned duration, the budgets are scaled
+        arrival (the scheduler's ``next_future_arrival``: the FCFS queue
+        head's, or the earliest future tenant head's under wfq / priority)
+        lands strictly inside the epoch's planned duration, the budgets are scaled
         down proportionally (``floor``, but at least one token per advancing
         sequence so the epoch always makes progress) so the epoch closes at
         the arrival; the remainder of each chunk carries into the next epoch.
@@ -976,91 +1019,82 @@ class PipelineEngine:
                 "internal error: the scheduler's active rows are out of step "
                 "with its active list"
             )
-        chunk = self.config.chunk_tokens
         columns = rows.state()
         rem_prefill = columns[active_rows.REM_PREFILL]
-        rem_decode = columns[active_rows.REM_DECODE]
-        budgets = np.minimum(chunk, rem_prefill + rem_decode)
-        prefill_takes = np.minimum(budgets, rem_prefill)
-        decode_takes = np.minimum(budgets - prefill_takes, rem_decode)
-        split = False
-        gap = self._gap_to_next_arrival(time_s)
-        if gap is not None:
-            planned = self._planned_duration(columns, prefill_takes, decode_takes)
-            if 0.0 < gap < planned:
-                fraction = gap / planned
-                budgets = np.where(
-                    budgets > 0,
-                    np.maximum(1, np.floor(fraction * budgets).astype(np.int64)),
-                    budgets,
-                )
-                prefill_takes = np.minimum(budgets, rem_prefill)
-                decode_takes = np.minimum(budgets - prefill_takes, rem_decode)
-                split = True
-        return EpochPlan(
-            budgets=budgets,
-            prefill_takes=prefill_takes,
-            decode_takes=decode_takes,
-            columns=columns,
-            split=split,
+        odd_starts = 2 * columns[active_rows.POSITION] - 1
+        budgets = np.minimum(
+            self.config.chunk_tokens, rem_prefill + columns[active_rows.REM_DECODE]
         )
+        # A split keeps every advancing row advancing, so which rows
+        # prefill, and their prompt left and length, hold for any split.
+        prefill_takes = np.minimum(budgets, rem_prefill)
+        prefilling = prefill_takes > 0
+        prompt_left = rem_prefill[prefilling]
+        prompts = columns[active_rows.PROMPT][prefilling]
 
-    def _gap_to_next_arrival(self, time_s: float) -> float | None:
-        """Seconds until admission can next progress (None when it cannot gate).
+        def plan_for(budgets: np.ndarray, prefill_takes: np.ndarray) -> EpochPlan:
+            # Every budget is at most the row's remaining prefill plus
+            # decode, so the decode take is what the prefill take leaves.
+            decode_takes = budgets - prefill_takes
+            decoding = int(np.count_nonzero(decode_takes))
+            return EpochPlan(
+                budgets=budgets,
+                prefill_takes=prefill_takes,
+                decode_takes=decode_takes,
+                columns=columns,
+                odd_starts=odd_starts,
+                tokens=int(budgets.sum()),
+                twice_weight=_twice_context_weight(odd_starts, budgets),
+                prefill_segments=PrefillSegments(
+                    takes=prefill_takes[prefilling], streams=prompt_left, lengths=prompts
+                ),
+                decode_sequences=decoding,
+                max_decode_chunk=int(decode_takes.max()) if decoding else 0,
+            )
 
-        The instant comes from the scheduler's policy — the FCFS queue head's
-        arrival (None once the head has arrived, even if blocked on
-        capacity), or the earliest *future* tenant-head arrival under wfq /
-        priority (an already-arrived capacity-blocked head does not hide a
-        later head there, because the policy may admit the newcomer
-        immediately) — so the split boundary respects the configured
-        admission order.  Returns None when there is no future arrival to
-        split at.
-        """
+        plan = plan_for(budgets, prefill_takes)
         arrival = self.scheduler.next_future_arrival(time_s)
-        if arrival is None:
-            return None
-        return arrival - time_s
+        if arrival is not None:
+            gap = arrival - time_s
+            planned = self._planned_duration(plan)
+            if 0.0 < gap < planned:
+                # floor(fraction * budget), at least 1, for advancing rows;
+                # the products are nonnegative, so astype truncation floors.
+                budgets = np.minimum(
+                    budgets, np.maximum(1, (gap / planned * budgets).astype(np.int64))
+                )
+                plan = plan_for(budgets, np.minimum(budgets, rem_prefill))
+                plan.split = True
+        return plan
 
-    def _planned_duration(
-        self,
-        columns: np.ndarray,
-        prefill_takes: np.ndarray,
-        decode_takes: np.ndarray,
-    ) -> float:
+    def _planned_duration(self, plan: EpochPlan) -> float:
         """Estimated duration of an epoch advancing the planned takes.
 
         Mirrors :meth:`_close_epoch`'s duration arithmetic on the *planned*
-        state (``columns`` as in :class:`EpochPlan`): KV-growth failures and
-        mid-epoch evictions can still shrink the epoch that actually runs,
-        so this is a deterministic estimate for the split decision, not the
-        closing value.  Uses the side-effect-free :meth:`planned_utilization`
+        state (``plan.columns``): KV-growth failures and mid-epoch evictions
+        can still shrink the epoch that actually runs, so this is a
+        deterministic estimate for the split decision, not the closing
+        value.  Uses the side-effect-free :meth:`planned_utilization`
         because a truncated plan is re-evaluated at close time.
         """
-        epoch_tokens = int(prefill_takes.sum()) + int(decode_takes.sum())
-        if epoch_tokens <= 0:
+        if plan.tokens <= 0:
             return 0.0
-        positions = columns[active_rows.POSITION]
-        twice_weighted = _twice_context_weight(
-            positions, prefill_takes
-        ) + _twice_context_weight(positions + prefill_takes, decode_takes)
-        interval = self.stage_interval(twice_weighted / 2 / epoch_tokens)
-        prefilling = prefill_takes > 0
-        takes = prefill_takes[prefilling]
-        # Planned before the advance: a segment streams its take plus the
-        # prompt left *now* (the committed epoch reads it after the advance).
+        interval = self.stage_interval(plan.twice_weight / 2 / plan.tokens)
+        committed = plan.prefill_segments
+        # Not the committed epoch's streams: those already include the take
+        # (the prompt left before the advance, as PrefillSegments defines),
+        # so the take is counted twice here.  Every split decision depends on
+        # this estimate, so it stays as it is.
         segments = PrefillSegments(
-            takes=takes,
-            streams=takes + columns[active_rows.REM_PREFILL][prefilling],
-            lengths=columns[active_rows.PROMPT][prefilling],
+            takes=committed.takes,
+            streams=committed.takes + committed.streams,
+            lengths=committed.lengths,
         )
-        decode_count = int(np.count_nonzero(decode_takes))
         utilization = max(
-            1e-6, min(1.0, self.planned_utilization(segments, decode_count))
+            1e-6, min(1.0, self.planned_utilization(segments, plan.decode_sequences))
         )
-        duration = epoch_tokens * interval / utilization
-        max_decode_chunk = int(decode_takes.max()) if len(decode_takes) else 0
-        return max(duration, max_decode_chunk * self.depth * interval)
+        duration = plan.tokens * interval / utilization
+        return max(duration, plan.max_decode_chunk * self.depth * interval)
 
     def _admit_or_skip_idle(
         self, time_s: float, arrival_feed=None, live_sync=None
@@ -1167,7 +1201,7 @@ class PipelineEngine:
         self,
         epoch_tokens: int,
         context_weighted: float,
-        energy_bins: dict[int, int],
+        energy_bins: tuple[np.ndarray, np.ndarray],
         prefill_segments: PrefillSegments,
         decode_sequences: int,
         max_decode_chunk: int,
@@ -1197,12 +1231,10 @@ class PipelineEngine:
             if duration > 0
             else utilization
         )
-        # One memoized EnergyBreakdown lookup and scale per quantized context
-        # bin -- not per segment -- in first-touch order.
-        epoch_energy = EnergyBreakdown()
-        for key, bin_tokens in energy_bins.items():
-            epoch_energy = epoch_energy + self._energy_for_key(key).scaled(bin_tokens)
-        return duration, utilization, epoch_energy
+        # One memoized per-token energy row per quantized context bin -- not
+        # per segment -- scaled and summed in first-touch order.
+        bins, counts = energy_bins
+        return duration, utilization, fold_energy(self._energy_rows(bins), counts)
 
     def _finish(
         self,

@@ -182,10 +182,6 @@ class Sequence:
         return self.decode_offset + self.decode_progress
 
     @property
-    def remaining_tokens(self) -> int:
-        return self.remaining_prefill + self.remaining_decode
-
-    @property
     def is_complete(self) -> bool:
         return self.phase is SequencePhase.COMPLETE
 

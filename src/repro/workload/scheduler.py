@@ -58,14 +58,19 @@ class KVCapacityProvider(Protocol):
         """Reserve KV space for ``count`` more tokens; return False if full."""
         ...
 
+    def bind_row(self, sequence: Sequence) -> int:
+        """Row handle of a resident sequence's allocation (-1 if none)."""
+        ...
+
     def grow_batch(
         self,
-        sequences: list[Sequence],
+        handles: npt.NDArray[np.int64],
         takes: npt.NDArray[np.int64],
         completing: npt.NDArray[np.bool_],
     ) -> bool:
-        """All-or-nothing :meth:`append_tokens` for a whole batch; return
-        False, with nothing changed, unless no growth could fail."""
+        """All-or-nothing :meth:`append_tokens` for a whole batch of row
+        handles; return False, with nothing changed, unless no growth could
+        fail."""
         ...
 
 
@@ -131,8 +136,9 @@ class InterSequenceScheduler:
         self._active: list[Sequence] = []  # in admission order (oldest first)
         self._active_ids: set[int] = set()  # O(1) membership mirror of _active
         #: integer state of ``_active``, column for column (the engine's
-        #: epoch planner and vectorised advance work on it)
-        self.rows = ActiveRows()
+        #: epoch planner and vectorised advance work on it).  Providers
+        #: without row handles (test doubles) leave every handle -1.
+        self.rows = ActiveRows(getattr(self.kv_provider, "bind_row", None))
         self._completed: list[Sequence] = []
         #: set when an eviction happened; cleared when a request completes
         self._admission_suspended = False
@@ -328,13 +334,24 @@ class InterSequenceScheduler:
         return self.policy.select(time) is not None
 
     def _remove_active(self, sequence: Sequence) -> None:
-        """Drop a sequence from the active list by identity (no dataclass eq)."""
+        """Drop a sequence from the active list by identity (no dataclass eq)
+        and release its KV space.
+
+        Its column's progress is flushed into it first: every way out of
+        the active list (completion, eviction, preemption, fault recompute,
+        quota shed) passes here.
+        """
         for index in range(len(self._active) - 1, -1, -1):
             if self._active[index] is sequence:
                 del self._active[index]
-                self.rows.delete(index)
+                self.rows.remove(index, sequence)
                 break
         self._active_ids.discard(sequence.sequence_id)
+        self.kv_provider.release(sequence)
+
+    def flush_rows(self) -> None:
+        """Bring every active sequence's progress and phase up to its column."""
+        self.rows.flush(self._active)
 
     # -------------------------------------------------------------- admission
 
@@ -500,7 +517,6 @@ class InterSequenceScheduler:
         if victim is None:
             return False
         self._remove_active(victim)
-        self.kv_provider.release(victim)
         discarded = victim.evict()
         victim.preemptions += 1
         self.stats.preemptions += 1
@@ -516,7 +532,6 @@ class InterSequenceScheduler:
     def _evict(self, victim: Sequence) -> Sequence:
         """Evict ``victim``: release its KV space, requeue it at the front."""
         self._remove_active(victim)
-        self.kv_provider.release(victim)
         discarded = victim.evict()
         self.stats.evictions += 1
         self.stats.recomputed_tokens += discarded
@@ -550,7 +565,6 @@ class InterSequenceScheduler:
                 "be recomputed"
             )
         self._remove_active(sequence)
-        self.kv_provider.release(sequence)
         discarded = sequence.evict()
         self.policy.push_front(sequence)
         self._rejected_ids.discard(sequence.sequence_id)
@@ -565,7 +579,6 @@ class InterSequenceScheduler:
                 f"sequence {sequence.sequence_id} is not active and cannot complete"
             )
         self._remove_active(sequence)
-        self.kv_provider.release(sequence)
         sequence.complete(time)
         if self.retain_history:
             self._completed.append(sequence)
@@ -577,20 +590,20 @@ class InterSequenceScheduler:
 
     def grow_batch(
         self,
-        sequences: list[Sequence],
+        handles: npt.NDArray[np.int64],
         takes: npt.NDArray[np.int64],
         completing: npt.NDArray[np.bool_],
     ) -> bool:
-        """Grow every active sequence's KV by its take at once, or do nothing.
+        """Grow every active row's KV by its take at once, or do nothing.
 
-        The batch form of :meth:`grow_sequence` over the nonzero takes, with
-        each ``completing`` sequence completed right after its growth.  It
-        succeeds only when the KV provider proves no growth in that walk
-        could fail, so no eviction or shed would have happened; otherwise
-        it returns False with nothing changed.  Completing the sequences is
-        the caller's job.
+        The batch form of :meth:`grow_sequence` over the nonzero takes, by
+        row handle (:attr:`rows`), with each ``completing`` sequence
+        completed right after its growth.  It succeeds only when the KV
+        provider proves no growth in that walk could fail, so no eviction or
+        shed would have happened; otherwise it returns False with nothing
+        changed.  Completing the sequences is the caller's job.
         """
-        return self.kv_provider.grow_batch(sequences, takes, completing)
+        return self.kv_provider.grow_batch(handles, takes, completing)
 
     def grow_sequence(self, sequence: Sequence, count: int = 1) -> bool:
         """Reserve KV space for the next ``count`` tokens of ``sequence``.
@@ -631,7 +644,6 @@ class InterSequenceScheduler:
         impossible-fit shed).  The discarded tokens are shed work, not
         recompute debt, so the eviction counters stay untouched."""
         self._remove_active(sequence)
-        self.kv_provider.release(sequence)
         sequence.evict()
         if self.retain_history:
             self._shed.append(sequence)
@@ -690,6 +702,7 @@ class InterSequenceScheduler:
 
         ``by_id`` maps request ids to the freshly rebuilt sequences of the
         resumed run; order inside every restored list is the snapshot's.
+        Restore the KV provider first: the active rows bind to its handles.
         """
         self._active = [by_id[seq_id] for seq_id in state["active"]]
         self._active_ids = {sequence.sequence_id for sequence in self._active}

@@ -186,8 +186,8 @@ class TestBatchGrowthPath:
         batched = []
         grow_batch = engine.scheduler.grow_batch
 
-        def counting(sequences, takes, completing):
-            accepted = grow_batch(sequences, takes, completing)
+        def counting(handles, takes, completing):
+            accepted = grow_batch(handles, takes, completing)
             batched.append(accepted)
             return accepted
 
@@ -766,3 +766,64 @@ class TestCheckpointResume:
         ).run(mixed_trace())
         result = build.run(mixed_trace(), suspend_at_epoch=10_000)
         assert_bitwise_equal(baseline, result)
+
+
+class TestRowsAreAuthoritative:
+    """The fast path advances the scheduler's rows and leaves the sequences
+    behind until something reads them.  Every reader -- a checkpoint, the
+    drained history -- must see exactly the scalar walk's sequences."""
+
+    @staticmethod
+    def _quota_preemption(tiny_arch, small_wafer_config):
+        def build():
+            return build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config,
+                                "dynamic", scheduling_policy="wfq", max_active=2,
+                                preemptive=True, blocks_per_core=8, kv_cores=24,
+                                chunk=64)
+
+        return build, lambda: staggered_preemption_trace(batch_quota=0.5)
+
+    @staticmethod
+    def _eviction_pressure(tiny_arch, small_wafer_config):
+        def build():
+            return build_engine(TokenGrainedPipeline, tiny_arch, small_wafer_config,
+                                "dynamic", blocks_per_core=2, kv_cores=24, chunk=64)
+
+        return build, lambda: make_trace(num_requests=6, prefill=300, decode=64)
+
+    SCENARIOS = ["_quota_preemption", "_eviction_pressure"]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_checkpoints_match_the_scalar_walk(
+        self, scenario, tiny_arch, small_wafer_config
+    ):
+        import json
+
+        from repro.pipeline.checkpoint import EngineCheckpoint
+
+        build, trace = getattr(self, scenario)(tiny_arch, small_wafer_config)
+        epochs = build().run(trace()).extra["epochs"]
+        sampled = sorted({1, 2, 3, epochs // 4, epochs // 2, 3 * epochs // 4, epochs - 1})
+        for epoch in sampled:
+            fast = build().run(trace(), suspend_at_epoch=epoch)
+            scalar = build().run_scalar(trace(), suspend_at_epoch=epoch)
+            assert isinstance(fast, EngineCheckpoint)
+            assert json.dumps(fast.as_dict()) == json.dumps(scalar.as_dict()), epoch
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_drained_sequences_match_the_scalar_walk(
+        self, scenario, tiny_arch, small_wafer_config
+    ):
+        build, trace = getattr(self, scenario)(tiny_arch, small_wafer_config)
+        fast, scalar = build(), build()
+        fast.run(trace())
+        scalar.run_scalar(trace())
+        assert fast.scheduler.stats.evictions > 0  # sequences left rows mid-run
+
+        def history(engine):
+            return [
+                dataclasses.asdict(sequence)
+                for sequence in engine.scheduler.completed + engine.scheduler.shed
+            ]
+
+        assert history(fast) and history(fast) == history(scalar)

@@ -324,8 +324,8 @@ def test_occupancy_matches_page_tables_and_dense_twin(script):
             batch = list(sequences.values())
             takes = np.asarray(op[1][: len(batch)], dtype=np.int64)
             completing = np.zeros(len(batch), dtype=bool)
-            grown = manager.grow_batch(batch, takes, completing)
-            assert twin.grow_batch(batch, takes, completing) == grown
+            grown = manager.grow_batch(row_handles(manager, batch), takes, completing)
+            assert twin.grow_batch(row_handles(twin, batch), takes, completing) == grown
             if grown:
                 for sequence, take in zip(batch, takes.tolist()):
                     tokens[sequence.sequence_id] += take
@@ -397,6 +397,11 @@ def kv_state(manager):
     return manager.snapshot_state(), manager.last_failure_quota_bound
 
 
+def row_handles(manager, sequences):
+    """The managers' row handles of ``sequences``, for ``grow_batch``."""
+    return np.asarray([manager.bind_row(s) for s in sequences], dtype=np.int64)
+
+
 @given(batch=resident_batches())
 @settings(max_examples=150, deadline=None)
 def test_grow_batch_equals_sequential_walk_or_declines(batch):
@@ -416,7 +421,7 @@ def test_grow_batch_equals_sequential_walk_or_declines(batch):
             walked.release(sequence)
 
     batched = copy.deepcopy(manager)
-    if batched.grow_batch(sequences, takes, completing):
+    if batched.grow_batch(row_handles(batched, sequences), takes, completing):
         assert all(walk_ok)
         for sequence, take, done in zip(sequences, takes.tolist(), completing.tolist()):
             if take > 0 and done:
@@ -444,9 +449,86 @@ def test_grow_batch_accepts_a_roomy_cache():
         sequences.append(sequence)
     takes = np.full(4, manager.tokens_per_block + 1, dtype=np.int64)
     before = manager.stats.allocated_blocks
-    assert manager.grow_batch(sequences, takes, np.zeros(4, dtype=bool))
+    assert manager.grow_batch(
+        row_handles(manager, sequences), takes, np.zeros(4, dtype=bool)
+    )
     assert manager.stats.allocated_blocks > before
     assert manager.stats.peak_used_blocks == manager.used_blocks
+
+
+# ---------------------------------------------------------------------------
+# Array energy accounting
+# ---------------------------------------------------------------------------
+
+
+@given(
+    bins=st.lists(
+        st.tuples(
+            st.tuples(*[st.floats(0, 1e-3, allow_nan=False)] * 4),
+            st.integers(1, 1 << 20),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_fold_energy_equals_the_object_fold(bins):
+    """The epoch's array energy reduction is the EnergyBreakdown fold, bit
+    for bit, over any number of bins -- np.sum would regroup more than 8."""
+    from repro.pipeline.engine import fold_energy
+
+    expected = EnergyBreakdown()
+    for fields, count in bins:
+        expected = expected + EnergyBreakdown(*fields).scaled(count)
+    per_token = np.asarray([fields for fields, _ in bins], dtype=np.float64)
+    counts = np.asarray([count for _, count in bins], dtype=np.float64)
+    assert fold_energy(per_token, counts) == expected
+
+
+def test_fold_energy_keeps_row_order_past_eight_bins():
+    """A sequence where pairwise summation rounds differently: the fold
+    still matches the in-order object fold."""
+    from repro.pipeline.engine import fold_energy
+
+    values = [1.0, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16,
+              1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16]
+    per_token = np.asarray([[v, v, v, v] for v in values])
+    counts = np.ones(len(values))
+    expected = EnergyBreakdown()
+    for v in values:
+        expected = expected + EnergyBreakdown(v, v, v, v).scaled(1)
+    assert fold_energy(per_token, counts) == expected
+    assert float(np.sum(per_token[:, 0])) != expected.compute_j
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 4) | st.integers(0, 5000),
+            st.integers(0, 3) | st.integers(0, 300),
+            st.integers(0, 3) | st.integers(0, 300),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    quantum=st.sampled_from([1, 2, 7, 32, 256]),
+)
+@settings(max_examples=150, deadline=None)
+def test_energy_bins_match_the_scalar_walk(rows, quantum):
+    """The array bins are the scalar walk's dict: each segment keyed by
+    ``max(1, round(avg / quantum) * quantum)``, row by row, prefill first."""
+    from repro.pipeline.engine import _energy_bins
+
+    walk: dict[int, int] = {}
+    for position, prefill, decode in rows:
+        for start, count in ((position, prefill), (position + prefill, decode)):
+            if count:
+                key = max(1, int(round((start + (count - 1) / 2.0) / quantum)) * quantum)
+                walk[key] = walk.get(key, 0) + count
+    positions, prefill, decode = (np.asarray(column, dtype=np.int64) for column in zip(*rows))
+    bins, counts = _energy_bins(2 * positions - 1, prefill, decode, quantum)
+    assert [max(1, int(i) * quantum) for i in bins] == list(walk)
+    assert counts.tolist() == list(walk.values())
 
 
 # ---------------------------------------------------------------------------
